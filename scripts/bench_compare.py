@@ -61,7 +61,6 @@ def serve_metrics(doc):
         Metric("wal_overhead", parse_ratio(doc.get("wal_overhead")), "lower"),
         Metric("keepalive_speedup", parse_ratio(doc.get("keepalive_speedup")), "higher"),
         Metric("http_speedup", parse_ratio(doc.get("http_speedup")), "higher"),
-        Metric("replica_speedup", parse_ratio(doc.get("replica_speedup")), "higher"),
     ]
     # Serve-path allocs/request (x10 integers, like the interpreter bench's
     # alloc_per_op_x10): counted rather than timed, so machine-independent.
@@ -77,10 +76,6 @@ def serve_metrics(doc):
     for row in doc.get("closed_loop", []) or []:
         name = f"closed_loop/{row.get('config')}/c{row.get('concurrency')}"
         out.append(Metric(name + " ops/s", parse_ratio(row.get("throughput_ops_s")),
-                          "higher", gated=False))
-    for row in doc.get("replica_sweep", []) or []:
-        name = f"replica_sweep/{row.get('config')} ops/s"
-        out.append(Metric(name, parse_ratio(row.get("throughput_ops_s")),
                           "higher", gated=False))
     return out
 

@@ -7,16 +7,6 @@
 # cycles, so each round also proves the previous crash's debris (torn
 # tails, half-rotated epochs) does not poison the next recovery.
 #
-# Replica mode (REPLICAS > 0) extends each cycle: the server runs with
-# WAL-shipped read replicas, the load mixes describes (routed to
-# replicas) into the write stream, and the kill lands mid-replication.
-# After `lce replay` verifies the surviving dir, the cycle restarts the
-# server with replicas and POSTs /admin/promote for every replica —
-# each promoted clone must drain and produce a canonical dump
-# byte-identical to the recovered primary's. That closes the loop the
-# plain mode can't: crash debris must not poison the *replication* seam
-# (seed clone + feed apply) any more than it poisons recovery.
-#
 # Timer mode (TIMERS=1) serves a hand-written delayed-transition spec
 # under --virtual-time and mixes /admin/tick advances into the write
 # stream, so the SIGKILL lands with timers armed and mid-countdown.
@@ -27,7 +17,6 @@
 #
 # Usage: scripts/crash_torture.sh [LCE_BINARY]
 # Env:   CYCLES        kill cycles to run (default 10)
-#        REPLICAS      read replicas to serve with (default 0: plain mode)
 #        TIMERS        1 = virtual-time lane (timer spec + tick load)
 #        ARTIFACT_DIR  where failing data dirs are preserved for upload
 #                      (default crash-torture-artifacts)
@@ -36,7 +25,6 @@ cd "$(dirname "$0")/.."
 
 LCE="${1:-build/tools/lce}"
 CYCLES="${CYCLES:-10}"
-REPLICAS="${REPLICAS:-0}"
 TIMERS="${TIMERS:-0}"
 ARTIFACT_DIR="${ARTIFACT_DIR:-crash-torture-artifacts}"
 
@@ -100,9 +88,6 @@ fail() {
 }
 
 SERVE_ARGS=(--data-dir "$DATA_DIR" --snapshot-every 40 --no-stdin)
-if [[ "$REPLICAS" -gt 0 ]]; then
-  SERVE_ARGS+=(--replicas "$REPLICAS")
-fi
 REPLAY_ARGS=("$DATA_DIR")
 if [[ "$TIMERS" -eq 1 ]]; then
   SERVE_ARGS+=(--spec "$SPEC_FILE" --virtual-time)
@@ -110,9 +95,8 @@ if [[ "$TIMERS" -eq 1 ]]; then
 fi
 
 # Start the server and wait for it to announce its ephemeral port (this
-# includes recovery of whatever the previous cycle's kill left behind,
-# and in replica mode the seeding of every replica clone). Sets
-# SERVE_PID and PORT.
+# includes recovery of whatever the previous cycle's kill left behind).
+# Sets SERVE_PID and PORT.
 start_server() {
   : > "$LOG"
   # A tight snapshot cadence makes kills land in rotation windows too.
@@ -136,9 +120,7 @@ stop_server() {
 for ((cycle = 1; cycle <= CYCLES; cycle++)); do
   start_server
 
-  # Hammer journaled writes until the kill interrupts one mid-commit. In
-  # replica mode every third request is a describe, so the kill also
-  # lands while the router is serving reads off replica state.
+  # Hammer journaled writes until the kill interrupts one mid-commit.
   (
     i=0
     while :; do
@@ -155,10 +137,6 @@ for ((cycle = 1; cycle <= CYCLES; cycle++)); do
       elif [[ "$TIMERS" -eq 1 ]]; then
         curl -s -o /dev/null -X POST "http://127.0.0.1:$PORT/invoke" \
           -d "{\"Action\":\"RunInstance\",\"Params\":{\"zone\":\"us-east\"}}" \
-          2>/dev/null || exit 0
-      elif [[ "$REPLICAS" -gt 0 && $((i % 3)) -eq 2 ]]; then
-        curl -s -o /dev/null -X POST "http://127.0.0.1:$PORT/invoke" \
-          -d "{\"Action\":\"DescribeVpc\",\"Params\":{\"id\":\"vpc-00000001\"}}" \
           2>/dev/null || exit 0
       else
         curl -s -o /dev/null -X POST "http://127.0.0.1:$PORT/invoke" \
@@ -177,31 +155,9 @@ for ((cycle = 1; cycle <= CYCLES; cycle++)); do
   wait "$LOAD_PID" 2>/dev/null || true
 
   "$LCE" replay "${REPLAY_ARGS[@]}" > /dev/null || fail "replay rejected the data dir"
-
-  if [[ "$REPLICAS" -gt 0 ]]; then
-    # Restart over the crash debris and require every freshly seeded
-    # replica to promote byte-identically to the recovered primary.
-    start_server
-    for ((r = 0; r < REPLICAS; r++)); do
-      PROMOTE="$(curl -s -X POST "http://127.0.0.1:$PORT/admin/promote" \
-        -d "{\"Replica\":$r}" 2>/dev/null || true)"
-      case "$PROMOTE" in
-        *'"ok":true'*'"dumps_identical":true'* | \
-        *'"dumps_identical":true'*'"ok":true'*) ;;
-        *)
-          echo "$PROMOTE" > "$LOG.promote" || true
-          stop_server
-          fail "replica $r failed post-crash promotion: $PROMOTE"
-          ;;
-      esac
-    done
-    stop_server
-  fi
 done
 
-if [[ "$REPLICAS" -gt 0 ]]; then
-  echo "crash_torture: $CYCLES kill -9 cycle(s) recovered, verified, and promoted $REPLICAS replica(s) byte-identically each cycle"
-elif [[ "$TIMERS" -eq 1 ]]; then
+if [[ "$TIMERS" -eq 1 ]]; then
   echo "crash_torture: $CYCLES kill -9 cycle(s) with timers in flight recovered and replayed byte-identically"
 else
   echo "crash_torture: $CYCLES kill -9 cycle(s) recovered and verified"

@@ -678,16 +678,6 @@ bool Interpreter::supports(const std::string& api) const {
   return spec_.find_api(api).first != nullptr;
 }
 
-bool Interpreter::read_only_api(const std::string& api) const {
-  if (plan_ != nullptr) {
-    const plan::CompiledTransition* t = plan_->find_api(api);
-    return t != nullptr && t->lock.mode == LockMode::kReadShared;
-  }
-  auto [machine, transition] = spec_.find_api(api);
-  return transition != nullptr &&
-         plan::classify_transition(*transition).mode == LockMode::kReadShared;
-}
-
 FailureSite Interpreter::last_failure() const {
   std::lock_guard<std::mutex> lock(*failure_mu_);
   return last_failure_;

@@ -95,15 +95,6 @@ class Interpreter final : public CloudBackend {
   /// Independent deep copy (spec, options, resource state, id counters).
   std::unique_ptr<CloudBackend> clone() const override;
 
-  /// True when `api` resolves to a transition whose lock plan is
-  /// read-shared — it provably mutates nothing, so a read replica may
-  /// serve it (the RouteLayer's classification source). Sourced from the
-  /// compiled plan's cached lock plans when use_plan, from the same
-  /// classifier run on demand otherwise; both agree by construction.
-  /// Unknown APIs are not read-only (they must reach the primary, whose
-  /// dispatch produces the canonical InvalidAction reply).
-  bool read_only_api(const std::string& api) const;
-
   const spec::SpecSet& spec() const { return spec_; }
   /// Swap in an updated spec (the alignment loop's repair step), keeping
   /// current resources when possible.

@@ -18,8 +18,8 @@ namespace lce::interp::timers {
 /// Built-in pseudo-API advancing the virtual clock ({"ticks": N}); not a
 /// spec transition — Interpreter::invoke intercepts it before dispatch.
 /// The name deliberately fails ReadCacheLayer::is_read_api, so the persist
-/// stack journals every advance as an ordinary kCall record and recovery,
-/// replay and replicas re-fire the exact same timer sequence.
+/// stack journals every advance as an ordinary kCall record and recovery
+/// and replay re-fire the exact same timer sequence.
 inline constexpr std::string_view kAdvanceClockApi = "_AdvanceClock";
 
 /// Bring the timers for `r` in line with its current attribute values:

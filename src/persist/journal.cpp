@@ -7,7 +7,6 @@
 
 #include "common/strings.h"
 #include "interp/interpreter.h"
-#include "persist/replica.h"
 #include "persist/snapshot.h"
 #include "stack/layers.h"
 
@@ -47,33 +46,13 @@ bool PersistManager::journal_call(const ApiRequest& req, const ApiResponse& resp
   rec.has_response = true;
   rec.response = resp;
   rec.minted_ids = collect_minted_ids(resp);
-  if (!wal_->append(rec)) return false;
-  // Ship the committed record to the replica feed. This runs with the
-  // gate held shared (the caller's contract), so a quiescing reader
-  // (seeding, promotion) holding the gate exclusive observes a feed that
-  // includes every committed write.
-  if (feed_ != nullptr) feed_->publish(rec);
-  return true;
+  return wal_->append(rec);
 }
 
 bool PersistManager::journal_reset() {
   LogRecord rec;
   rec.type = LogRecord::Type::kReset;
-  if (!wal_->append(rec)) return false;
-  if (feed_ != nullptr) feed_->publish(rec);
-  return true;
-}
-
-bool PersistManager::attach_feed(std::shared_ptr<WalFeed> feed) {
-  std::unique_lock<std::shared_mutex> gate(gate_);
-  if (feed_ != nullptr) return false;
-  feed_ = std::move(feed);
-  return true;
-}
-
-std::shared_ptr<WalFeed> PersistManager::feed() const {
-  std::shared_lock<std::shared_mutex> gate(gate_);
-  return feed_;
+  return wal_->append(rec);
 }
 
 bool PersistManager::take_snapshot(std::string* error) {

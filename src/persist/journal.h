@@ -36,8 +36,6 @@ class Interpreter;
 
 namespace lce::persist {
 
-class WalFeed;
-
 struct PersistOptions {
   std::string data_dir;
   WalSync sync = WalSync::kNone;
@@ -90,18 +88,6 @@ class PersistManager {
   /// snapshot when the cadence threshold is crossed.
   void maybe_auto_snapshot();
 
-  /// Publish every subsequently committed record (journal_call /
-  /// journal_reset, after the WAL append succeeds) to `feed` — the
-  /// replication hookup (replica.h). One feed per manager; false when one
-  /// is already attached. Quiesces writers for the swap, so no committed
-  /// record straddles the attachment.
-  bool attach_feed(std::shared_ptr<WalFeed> feed);
-  std::shared_ptr<WalFeed> feed() const;
-
-  /// The primary interpreter this manager journals for (replica seeding
-  /// and promotion dumps; take gate() exclusive to quiesce it first).
-  interp::Interpreter& primary() { return interp_; }
-
   PersistStatus status() const;
   const PersistOptions& options() const { return opts_; }
   std::shared_mutex& gate() { return gate_; }
@@ -116,7 +102,6 @@ class PersistManager {
   mutable std::shared_mutex gate_;
   std::uint64_t epoch_;            // guarded by gate_
   std::unique_ptr<WalWriter> wal_; // pointer swaps guarded by gate_ exclusive
-  std::shared_ptr<WalFeed> feed_;  // attach guarded by gate_ exclusive
   std::atomic<std::uint64_t> snapshots_taken_{0};
   std::atomic<bool> snapshotting_{false};  // collapses concurrent triggers
 };

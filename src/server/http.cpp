@@ -13,10 +13,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <unordered_map>
 
 #include "common/strings.h"
+#include "common/value.h"
 #include "server/http_parser.h"
+#include "server/json.h"
 
 namespace lce::server {
 
@@ -35,6 +38,15 @@ bool send_all(int fd, std::string_view data) {
     off += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+/// Body of the 500 the exception barrier answers with: the service's JSON
+/// error shape, so clients decode it like any other InternalError.
+std::string internal_error_body(std::string_view what) {
+  std::string body = R"({"Error":{"Code":"InternalError","Message":)";
+  append_json(Value(strf("request handler threw: ", what)), body);
+  body += "}}";
+  return body;
 }
 
 int status_for(ParseStatus st) {
@@ -327,6 +339,7 @@ HttpServerStats HttpServer::stats() const {
   s.rejected_400 = rej400_.load(std::memory_order_relaxed);
   s.rejected_413 = rej413_.load(std::memory_order_relaxed);
   s.rejected_431 = rej431_.load(std::memory_order_relaxed);
+  s.internal_errors = internal_errors_.load(std::memory_order_relaxed);
   s.write_calls = writes_.load(std::memory_order_relaxed);
   return s;
 }
@@ -486,11 +499,36 @@ void HttpServer::handle_conn_event(Loop& loop, int fd, std::uint32_t ev) {
               conn.requests >= static_cast<std::uint64_t>(opts_.max_requests_per_conn)) {
             keep = false;
           }
-          if (wire) {
-            ResponseWriter writer(conn.out, conn.cl_hint);
-            wire_handler_(conn.view, keep, writer);
-          } else {
-            conn.out += serialize_http_response(handler_(req), keep);
+          // Exception barrier: a throw from the backend (e.g. KeyTable's
+          // length_error at capacity) must not end this io thread. Drop any
+          // partial render and answer 500; the connection keeps serving.
+          const std::size_t mark = conn.out.size();
+          auto internal_error = [&](std::string_view what) {
+            conn.out.resize(mark);
+            internal_errors_.fetch_add(1, std::memory_order_relaxed);
+            std::string body = internal_error_body(what);
+            if (wire) {
+              ResponseWriter writer(conn.out, conn.cl_hint);
+              writer.begin(500, keep, /*json_body=*/true);
+              writer.body() += body;
+              writer.finish();
+            } else {
+              conn.out += serialize_http_response(
+                  HttpResponse{500, {{"content-type", "application/json"}}, std::move(body)},
+                  keep);
+            }
+          };
+          try {
+            if (wire) {
+              ResponseWriter writer(conn.out, conn.cl_hint);
+              wire_handler_(conn.view, keep, writer);
+            } else {
+              conn.out += serialize_http_response(handler_(req), keep);
+            }
+          } catch (const std::exception& e) {
+            internal_error(e.what());
+          } catch (...) {
+            internal_error("unknown exception");
           }
           if (opts_.idle_timeout_ms > 0) {
             conn.deadline =

@@ -145,6 +145,8 @@ struct HttpServerStats {
   std::uint64_t rejected_400 = 0;
   std::uint64_t rejected_413 = 0;
   std::uint64_t rejected_431 = 0;
+  /// Requests whose handler threw; each was answered 500 InternalError.
+  std::uint64_t internal_errors = 0;
   /// Successful write() syscalls. A pipelined burst that corks N responses
   /// into one flush counts 1 here (what the corking tests assert). Not
   /// exported via /metrics: kernel read chunking makes it nondeterministic
@@ -201,6 +203,7 @@ class HttpServer {
   std::atomic<std::uint64_t> rej400_{0};
   std::atomic<std::uint64_t> rej413_{0};
   std::atomic<std::uint64_t> rej431_{0};
+  std::atomic<std::uint64_t> internal_errors_{0};
   std::atomic<std::uint64_t> writes_{0};
 };
 

@@ -6,11 +6,9 @@
 #include "common/strings.h"
 #include "interp/timers.h"
 #include "persist/journal.h"
-#include "persist/replica.h"
 #include "server/json.h"
 #include "stack/layer.h"
 #include "stack/layers.h"
-#include "stack/route.h"
 
 namespace lce::server {
 
@@ -48,36 +46,14 @@ Value server_stats_value(const HttpServerStats& s) {
   m.set("rejected_400", Value(static_cast<std::int64_t>(s.rejected_400)));
   m.set("rejected_413", Value(static_cast<std::int64_t>(s.rejected_413)));
   m.set("rejected_431", Value(static_cast<std::int64_t>(s.rejected_431)));
-  return m;
-}
-
-Value route_stats_value(const stack::RouteStats& s) {
-  Value m = Value::empty_map();
-  m.set("replica_reads", Value(static_cast<std::int64_t>(s.replica_reads)));
-  m.set("primary_reads", Value(static_cast<std::int64_t>(s.primary_reads)));
-  m.set("lag_fallbacks", Value(static_cast<std::int64_t>(s.lag_fallbacks)));
-  m.set("writes", Value(static_cast<std::int64_t>(s.writes)));
-  Value hits = Value::empty_list();
-  for (std::uint64_t h : s.replica_hits) {
-    hits.append(Value(static_cast<std::int64_t>(h)));
-  }
-  m.set("replica_hits", std::move(hits));
-  return m;
-}
-
-Value replica_status_value(const persist::ReplicaStatus& st) {
-  Value m = Value::empty_map();
-  m.set("applied_seq", Value(static_cast<std::int64_t>(st.applied_seq)));
-  m.set("lag", Value(static_cast<std::int64_t>(st.lag)));
-  m.set("reseeds", Value(static_cast<std::int64_t>(st.reseeds)));
-  m.set("mismatches", Value(static_cast<std::int64_t>(st.mismatches)));
+  m.set("internal_errors", Value(static_cast<std::int64_t>(s.internal_errors)));
   return m;
 }
 
 /// The routing brain behind both handler forms. `fast_decode` selects the
 /// arena/direct JSON decoder (the serving path) vs the historical builder
 /// (the --no-wire-fastpath reference); both accept the same texts with the
-/// same errors. Backend/persist/replica calls run under ArenaPause so any
+/// same errors. Backend and persist calls run under ArenaPause so any
 /// Value a layer retains (trace records, read-cache entries, store writes)
 /// lands on the heap even when the wire path has a request arena active —
 /// the request's own scratch (decoded doc, response body) stays
@@ -85,8 +61,7 @@ Value replica_status_value(const persist::ReplicaStatus& st) {
 RouteReply route_emulator_request(CloudBackend& backend, std::string_view method,
                                   std::string_view path, std::string_view body,
                                   persist::PersistManager* persist,
-                                  const HttpServer* server,
-                                  persist::ReplicaSet* replicas, bool virtual_time,
+                                  const HttpServer* server, bool virtual_time,
                                   bool fast_decode) {
   auto parse_body = [&](JsonError* jerr) {
     return fast_decode ? parse_json(body, jerr) : parse_json_reference(body, jerr);
@@ -119,8 +94,8 @@ RouteReply route_emulator_request(CloudBackend& backend, std::string_view method
       }
     }
     // Through the stack, not a direct clock poke: the journal layer logs
-    // the advance as an ordinary call record, so recovery, replay and
-    // replicas re-fire the same timer sequence.
+    // the advance as an ordinary call record, so recovery and replay
+    // re-fire the same timer sequence.
     ApiRequest api_req;
     api_req.api = std::string(interp::timers::kAdvanceClockApi);
     api_req.args["ticks"] = Value(ticks);
@@ -136,55 +111,6 @@ RouteReply route_emulator_request(CloudBackend& backend, std::string_view method
     }
     int status = result.code == "InternalError" ? 500 : 400;
     return error_reply(status, result.code, result.message);
-  }
-  if (path == "/admin/replicas" || path == "/admin/promote") {
-    if (replicas == nullptr) {
-      return error_reply(404, "ReplicationUnavailable",
-                         "endpoint is not running with replicas");
-    }
-    if (method == "GET" && path == "/admin/replicas") {
-      Value reply = Value::empty_map();
-      reply.set("published_seq", Value(static_cast<std::int64_t>(replicas->primary_seq())));
-      Value list = Value::empty_list();
-      for (const auto& st : replicas->status()) {
-        list.append(replica_status_value(st));
-      }
-      reply.set("replicas", std::move(list));
-      return RouteReply{200, std::move(reply)};
-    }
-    if (method == "POST" && path == "/admin/promote") {
-      // Replica index from the body ({"Replica": N}); default 0.
-      std::size_t index = 0;
-      if (!body.empty()) {
-        JsonError jerr;
-        auto doc = parse_body(&jerr);
-        if (!doc || !doc->is_map()) {
-          return error_reply(400, "MalformedRequest",
-                             doc ? "request body must be a JSON object" : jerr.to_text());
-        }
-        if (const Value* idx = doc->get("Replica")) {
-          if (!idx->is_int() || idx->as_int() < 0) {
-            return error_reply(400, "MalformedRequest",
-                               "\"Replica\" must be a non-negative integer");
-          }
-          index = static_cast<std::size_t>(idx->as_int());
-        }
-      }
-      persist::PromoteReport report;
-      {
-        ArenaPause pause;
-        report = replicas->promote(index);
-      }
-      Value reply = Value::empty_map();
-      reply.set("ok", Value(report.ok));
-      reply.set("applied_seq", Value(static_cast<std::int64_t>(report.applied_seq)));
-      reply.set("dumps_identical", Value(report.dumps_identical));
-      reply.set("mismatches", Value(static_cast<std::int64_t>(report.mismatches)));
-      if (!report.error.empty()) reply.set("error", Value(report.error));
-      return RouteReply{report.ok ? 200 : 500, std::move(reply)};
-    }
-    return error_reply(405, "MethodNotAllowed",
-                       strf(method, " not supported on ", path));
   }
   if (path == "/admin/snapshot" || path == "/admin/persist") {
     if (persist == nullptr) {
@@ -239,9 +165,6 @@ RouteReply route_emulator_request(CloudBackend& backend, std::string_view method
     }
     Value reply = metrics->metrics();
     if (server != nullptr) reply.set("server", server_stats_value(server->stats()));
-    auto* route =
-        layered != nullptr ? layered->find<stack::RouteLayer>() : nullptr;
-    if (route != nullptr) reply.set("route", route_stats_value(route->stats()));
     return RouteReply{200, std::move(reply)};
   }
   if (method == "GET" && path == "/snapshot") {
@@ -319,11 +242,10 @@ RouteReply route_emulator_request(CloudBackend& backend, std::string_view method
 HttpResponse handle_emulator_request(CloudBackend& backend, const HttpRequest& req,
                                      persist::PersistManager* persist,
                                      const HttpServer* server,
-                                     persist::ReplicaSet* replicas,
                                      bool virtual_time) {
   RouteReply reply =
       route_emulator_request(backend, req.method, req.path, req.body, persist, server,
-                             replicas, virtual_time, /*fast_decode=*/false);
+                             virtual_time, /*fast_decode=*/false);
   HttpResponse resp;
   resp.status = reply.status;
   resp.headers["content-type"] = "application/json";
@@ -348,36 +270,36 @@ stack::StackConfig with_journal(stack::StackConfig config,
 EmulatorEndpoint::EmulatorEndpoint(CloudBackend& backend, stack::StackConfig config,
                                    persist::PersistManager* persist,
                                    HttpServerOptions http,
-                                   persist::ReplicaSet* replicas,
                                    bool virtual_time)
     : stack_(stack::build_stack(backend, with_journal(std::move(config), persist))),
       persist_(persist),
-      replicas_(replicas),
       virtual_time_(virtual_time),
       server_(
           [this](const HttpRequest& req) {
             return handle_emulator_request(stack_, req, persist_, &server_,
-                                           replicas_, virtual_time_);
+                                           virtual_time_);
           },
           http) {
   // Zero-copy serving path (gated at runtime by http.wire_fastpath): route
   // under a per-io-thread request arena, render head + JSON body straight
   // into the connection's output buffer. The RouteReply must die before
-  // the arena rewinds — hence the inner scope.
+  // the arena rewinds, and the rewind must also happen when routing throws
+  // (the server's exception barrier answers 500) — hence the guard
+  // declared before the scope, so it is destroyed after it.
   server_.set_wire_handler(
       [this](const RequestView& req, bool keep_alive, ResponseWriter& writer) {
         static thread_local Arena arena;
-        {
-          ArenaScope scope(arena);
-          RouteReply reply =
-              route_emulator_request(stack_, req.method, req.path, req.body, persist_,
-                                     &server_, replicas_, virtual_time_,
-                                     /*fast_decode=*/true);
-          writer.begin(reply.status, keep_alive, /*json_body=*/true);
-          append_json(reply.body, writer.body());
-          writer.finish();
-        }
-        arena.reset();
+        struct Rewind {
+          Arena& arena;
+          ~Rewind() { arena.reset(); }
+        } rewind{arena};
+        ArenaScope scope(arena);
+        RouteReply reply =
+            route_emulator_request(stack_, req.method, req.path, req.body, persist_,
+                                   &server_, virtual_time_, /*fast_decode=*/true);
+        writer.begin(reply.status, keep_alive, /*json_body=*/true);
+        append_json(reply.body, writer.body());
+        writer.finish();
       });
 }
 

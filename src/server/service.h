@@ -4,14 +4,19 @@
 //   POST /invoke    {"Action": "CreateVpc", "Params": {"cidr_block": "..."}}
 //     -> 200 {"Data": {...}}                     on success
 //     -> 400 {"Error": {"Code": ..., "Message": ...}}  on API failure
+//     -> 429 / 500 for injected throttles / InternalError (also the
+//        server's answer when a handler throws)
 //   GET  /health    -> {"status":"ok","backend":...,"layers":[...]}
-//   GET  /metrics   -> MetricsLayer counters/histograms (404 when the
-//                      backend stack has no metrics layer)
+//   GET  /metrics   -> {"total", "per_api"} from the MetricsLayer (404 when
+//                      the backend stack has no metrics layer), plus
+//                      "server": the front end's HttpServerStats
 //   GET  /snapshot  -> full mock-cloud state
 //   POST /reset     -> fresh account
 //   POST /admin/snapshot -> durable snapshot + epoch rotation (404 when
 //                      the endpoint runs without a data dir)
 //   GET  /admin/persist  -> durability status: epoch, WAL records/bytes
+//   POST /admin/tick     -> {"Ticks": N} advances the virtual clock (404
+//                      unless the endpoint runs with virtual time)
 //
 // Cross-cutting invoke-path concerns (thread-safety, id re-tagging,
 // metrics, fault injection, recording, read caching) live in lce::stack;
@@ -29,7 +34,6 @@
 
 namespace lce::persist {
 class PersistManager;
-class ReplicaSet;
 }  // namespace lce::persist
 
 namespace lce::server {
@@ -44,18 +48,14 @@ using stack::looks_like_resource_id;
 /// "layers" field) light up. `persist` (may be null) serves the
 /// /admin/snapshot and /admin/persist durability routes. `server` (may be
 /// null) adds the front-end counters — accepted connections, keep-alive
-/// reuses, reaps, rejections — under "server" in the /metrics body.
-/// `replicas` (may be null) serves GET /admin/replicas (per-replica
-/// applied-seq/lag) and POST /admin/promote (drain + byte-identity
-/// verification against the primary) and, with a RouteLayer in the
-/// stack, the "route" section of /metrics. `virtual_time` lights up
+/// reuses, reaps, rejections, internal errors — under "server" in the
+/// /metrics body. `virtual_time` lights up
 /// POST /admin/tick ({"Ticks": N}, default 1), which pushes an
 /// _AdvanceClock call through the stack so the journal logs the advance
 /// like any other write.
 HttpResponse handle_emulator_request(CloudBackend& backend, const HttpRequest& req,
                                      persist::PersistManager* persist = nullptr,
                                      const HttpServer* server = nullptr,
-                                     persist::ReplicaSet* replicas = nullptr,
                                      bool virtual_time = false);
 
 /// A running emulator endpoint; owns the server thread and the layer stack
@@ -67,16 +67,11 @@ class EmulatorEndpoint {
   /// the endpoint durable: a JournalLayer is installed in the stack (the
   /// config's journal hook is overwritten) and the /admin routes light up.
   /// `http` tunes the serving front end (io threads, idle timeout,
-  /// per-connection request cap, parser limits).
-  /// `replicas` (optional, caller-owned, must outlive the endpoint)
-  /// lights up the /admin/replicas and /admin/promote routes; the
-  /// RouteLayer itself is installed via config.route (the CLI wires
-  /// both from --replicas). `virtual_time` lights up POST /admin/tick
-  /// (the CLI wires it from --virtual-time).
+  /// per-connection request cap, parser limits). `virtual_time` lights
+  /// up POST /admin/tick (the CLI wires it from --virtual-time).
   explicit EmulatorEndpoint(CloudBackend& backend, stack::StackConfig config = {},
                             persist::PersistManager* persist = nullptr,
                             HttpServerOptions http = {},
-                            persist::ReplicaSet* replicas = nullptr,
                             bool virtual_time = false);
 
   /// Bind and serve; returns the port (0 = failure).
@@ -95,7 +90,6 @@ class EmulatorEndpoint {
  private:
   stack::LayerStack stack_;
   persist::PersistManager* persist_;
-  persist::ReplicaSet* replicas_;
   bool virtual_time_;
   HttpServer server_;
 };

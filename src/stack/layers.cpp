@@ -130,9 +130,19 @@ ApiResponse MetricsLayer::invoke(const ApiRequest& req) {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - t0)
           .count());
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   total_.record(resp.ok, us);
-  by_api_[req.api].record(resp.ok, us);
+  auto it = by_api_.find(req.api);
+  if (it == by_api_.end()) {
+    // First call under this name: only supported actions get their own
+    // row. supports() runs unlocked — it may take locks further in.
+    lock.unlock();
+    bool supported = inner().supports(req.api);
+    lock.lock();
+    it = supported ? by_api_.try_emplace(req.api).first
+                   : by_api_.try_emplace(std::string(kUnsupportedApi)).first;
+  }
+  it->second.record(resp.ok, us);
   return resp;
 }
 

@@ -23,6 +23,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "common/rng.h"
 #include "stack/layer.h"
@@ -88,6 +89,12 @@ struct ApiMetrics {
 
 class MetricsLayer final : public BackendLayer {
  public:
+  /// The one per_api row every action the backend does not support() is
+  /// counted under. The layer sits above validate, so it sees raw client
+  /// action names; a row per name would let a client grow the map (and
+  /// the key table /metrics renders through) without limit.
+  static constexpr std::string_view kUnsupportedApi = "(unsupported)";
+
   std::string layer_name() const override { return "metrics"; }
   ApiResponse invoke(const ApiRequest& req) override;
 

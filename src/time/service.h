@@ -71,7 +71,7 @@ class TimerService {
   /// and byte-identical store dumps.
   std::vector<TimerInfo> snapshot() const;
 
-  /// Rebuild from a snapshot (recovery / replica bootstrap). Replaces all
+  /// Rebuild from a snapshot (store decode on recovery). Replaces all
   /// state; `timers` need not be sorted.
   void restore(std::uint64_t now, std::uint64_t next_seq, std::vector<TimerInfo> timers);
 

@@ -20,10 +20,8 @@
 #include "interp/interpreter.h"
 #include "persist/journal.h"
 #include "persist/persist_test_util.h"
-#include "persist/replica.h"
 #include "stack/config.h"
 #include "stack/layers.h"
-#include "stack/route.h"
 
 namespace lce::align {
 namespace {
@@ -305,15 +303,13 @@ TEST(ParallelStackAlignment, MetricsCollectionIsDeterministicAndInvisible) {
   }
 }
 
-// A routed durable stack (journal -> route over WAL-shipped replicas,
-// strict staleness bound) must be invisible to the differential pass:
-// outcomes byte-identical to the bare interpreter, for both pipeline
-// shapes (compiled plan / tree-walk) and any worker count. Workers
-// execute on clones, which detach from the WAL and the replica tier;
-// serial execution routes reads at live replicas, whose state is
-// byte-identical to the primary's at every quiesced point of the serial
-// trace stream.
-TEST(ParallelExecutor, RoutedStackOutcomesMatchBareBackend) {
+// A journaled durable stack (every write appended to a live WAL) must be
+// invisible to the differential pass: outcomes byte-identical to the bare
+// interpreter, for both pipeline shapes (compiled plan / tree-walk) and
+// any worker count. Serial execution journals every write; parallel
+// workers execute on clones, whose journal layer detaches from the WAL,
+// so the parallel pass must leave the log untouched.
+TEST(ParallelExecutor, JournaledStackOutcomesMatchBareBackend) {
   auto corpus = seeded_corpus();
   for (bool use_plan : {true, false}) {
     SCOPED_TRACE(use_plan ? "plan" : "tree");
@@ -334,8 +330,6 @@ TEST(ParallelExecutor, RoutedStackOutcomesMatchBareBackend) {
     std::string error;
     auto mgr = persist::PersistManager::open(emu.backend(), po, &error);
     ASSERT_NE(mgr, nullptr) << error;
-    auto replicas = persist::ReplicaSet::create(*mgr, 2, {}, &error);
-    ASSERT_NE(replicas, nullptr) << error;
 
     stack::StackConfig cfg;
     cfg.metrics = false;
@@ -343,19 +337,12 @@ TEST(ParallelExecutor, RoutedStackOutcomesMatchBareBackend) {
     cfg.journal = [&mgr] {
       return std::make_unique<persist::JournalLayer>(mgr.get());
     };
-    cfg.route = [&replicas, interp = &emu.backend()] {
-      stack::RouteOptions ro;
-      ro.lag_max = 0;  // strict: replicas serve only when fully caught up
-      ro.read_only = [interp](const std::string& api) {
-        return interp->read_only_api(api);
-      };
-      return std::make_unique<stack::RouteLayer>(replicas.get(), std::move(ro));
-    };
 
+    std::uint64_t serial_records = 0;
     for (int workers : {1, 4}) {
       SCOPED_TRACE(workers);
-      stack::LayerStack routed = stack::build_stack(emu.backend(), cfg);
-      ParallelExecutor exec(cloud, routed, workers);
+      stack::LayerStack journaled = stack::build_stack(emu.backend(), cfg);
+      ParallelExecutor exec(cloud, journaled, workers);
       auto got = exec.execute(traces);
       ASSERT_EQ(want.size(), got.size());
       for (std::size_t i = 0; i < want.size(); ++i) {
@@ -366,6 +353,12 @@ TEST(ParallelExecutor, RoutedStackOutcomesMatchBareBackend) {
         }
         EXPECT_EQ(want[i].have_probe_outcome, got[i].have_probe_outcome);
         EXPECT_EQ(want[i].probe_outcome, got[i].probe_outcome) << "trace " << i;
+      }
+      if (workers == 1) {
+        serial_records = mgr->status().wal_records;
+        EXPECT_GT(serial_records, 0u);
+      } else {
+        EXPECT_EQ(mgr->status().wal_records, serial_records);
       }
     }
   }

@@ -1,13 +1,15 @@
 // The full layer chain behind a live socket: concurrent clients hammering
 // an EmulatorEndpoint built over the default stack (metrics -> validate ->
 // serialize), plus fault-seeded endpoints surfacing injected chaos as HTTP
-// status codes. The "Hammer" tests are the ThreadSanitizer targets wired
-// into scripts/tier1.sh.
+// status codes, plus the server's exception barrier: a backend that throws
+// costs one 500, not the io thread. The "Hammer" tests are the
+// ThreadSanitizer targets wired into scripts/tier1.sh.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "core/emulator.h"
 #include "docs/corpus.h"
 #include "docs/render.h"
+#include "raw_client.h"
 #include "server/json.h"
 #include "server/service.h"
 #include "stack/layers.h"
@@ -226,6 +229,74 @@ TEST(EndpointStack, FaultSequenceIsReproducibleAcrossServers) {
   EXPECT_NE(std::count(a.begin(), a.end(), "ok"), 0);
   EXPECT_NE(std::count(a.begin(), a.end(), "RequestLimitExceeded"), 0);
   EXPECT_NE(run_sequence(100), a);
+}
+
+/// Forwards to a reference cloud, except that one named action throws the
+/// way KeyTable does when it runs out of key ids.
+class ThrowingBackend final : public CloudBackend {
+ public:
+  explicit ThrowingBackend(CloudBackend& inner) : inner_(inner) {}
+  std::string name() const override { return "throwing"; }
+  ApiResponse invoke(const ApiRequest& req) override {
+    if (req.api == "Explode") throw std::length_error("key table full");
+    return inner_.invoke(req);
+  }
+  void reset() override { inner_.reset(); }
+  Value snapshot() const override { return inner_.snapshot(); }
+
+ private:
+  CloudBackend& inner_;
+};
+
+std::string invoke_request(std::string_view body) {
+  return strf("POST /invoke HTTP/1.1\r\nHost: x\r\ncontent-length: ", body.size(),
+              "\r\n\r\n", body);
+}
+
+TEST(EndpointExceptionBarrier, ThrowingHandlerAnswers500AndKeepsServing) {
+  // Three pipelined invokes in one burst: the throw in the middle must
+  // answer 500 InternalError without dropping the response already
+  // rendered ahead of it, and the same connection must go on to serve the
+  // request behind it. Both wire paths, byte-identical streams.
+  std::string streams[2];
+  for (bool fastpath : {true, false}) {
+    SCOPED_TRACE(fastpath ? "wire fast path" : "heap path");
+    cloud::ReferenceCloud cloud(docs::build_aws_catalog());
+    ThrowingBackend backend(cloud);
+    HttpServerOptions http;
+    http.wire_fastpath = fastpath;
+    EmulatorEndpoint endpoint(backend, {}, nullptr, http);
+    std::uint16_t port = endpoint.start();
+    ASSERT_NE(port, 0);
+
+    testing::RawClient client(port);
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE(client.send_all(
+        invoke_request(R"({"Action":"CreateVpc","Params":{"cidr_block":"10.0.0.0/16"}})") +
+        invoke_request(R"({"Action":"Explode","Params":{}})") +
+        invoke_request(R"({"Action":"CreateVpc","Params":{"cidr_block":"10.1.0.0/16"}})")));
+    std::string raw = client.read_responses(3);
+    EXPECT_EQ(testing::RawClient::response_statuses(raw), (std::vector<int>{200, 500, 200}));
+    EXPECT_NE(raw.find(R"({"Error":{"Code":"InternalError","Message":"request handler )"
+                       R"(threw: key table full"}})"),
+              std::string::npos)
+        << raw;
+    // The connection is still open and serving.
+    ASSERT_TRUE(client.send_all("GET /health HTTP/1.1\r\nHost: x\r\n\r\n"));
+    EXPECT_EQ(testing::RawClient::response_statuses(client.read_responses(1)),
+              std::vector<int>{200});
+
+    EXPECT_EQ(endpoint.server_stats().internal_errors, 1u);
+    auto metrics = parse_json(http_request(port, "GET", "/metrics")->body);
+    ASSERT_TRUE(metrics);
+    EXPECT_EQ(metrics->get("server")->get("internal_errors")->as_int(), 1);
+    auto snap = parse_json(http_request(port, "GET", "/snapshot")->body);
+    ASSERT_TRUE(snap);
+    EXPECT_EQ(snap->as_map().size(), 2u);
+    endpoint.stop();
+    streams[fastpath ? 0 : 1] = raw;
+  }
+  EXPECT_EQ(streams[0], streams[1]);
 }
 
 }  // namespace

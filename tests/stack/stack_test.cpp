@@ -14,6 +14,7 @@
 
 #include "cloud/reference_cloud.h"
 #include "common/errors.h"
+#include "common/strings.h"
 #include "core/trace_script.h"
 #include "docs/corpus.h"
 #include "stack/layer.h"
@@ -174,6 +175,33 @@ TEST(MetricsLayerTest, MergeFromAggregatesCounters) {
   EXPECT_EQ(a.calls(), 3u);
   EXPECT_EQ(a.errors(), 1u);
   EXPECT_EQ(a.metrics().get("per_api")->get("CreateVpc")->get("calls")->as_int(), 3);
+}
+
+TEST(MetricsLayerTest, UnsupportedActionsShareOneRow) {
+  // Raw client action names reach the metrics layer before validation;
+  // names the backend does not support must not each get a row.
+  auto cloud = make_cloud();
+  LayerStack stack = build_stack(cloud);
+  auto* metrics = stack.find<MetricsLayer>();
+  ASSERT_NE(metrics, nullptr);
+  ASSERT_TRUE(stack.invoke(create_vpc()).ok);
+  ASSERT_FALSE(stack.invoke(create_vpc("10.0.0.0/8")).ok);
+  const Value before = metrics->metrics();
+
+  constexpr int kNames = 10000;
+  for (int i = 0; i < kNames; ++i) {
+    ASSERT_FALSE(stack.invoke({strf("NoSuchAction", i), {}, ""}).ok);
+  }
+  const Value after = metrics->metrics();
+  const auto& per_api = after.get("per_api")->as_map();
+  EXPECT_EQ(per_api.size(), before.get("per_api")->as_map().size() + 1);
+  const Value* bucket = after.get("per_api")->get(MetricsLayer::kUnsupportedApi);
+  ASSERT_NE(bucket, nullptr);
+  EXPECT_EQ(bucket->get("calls")->as_int(), kNames);
+  EXPECT_EQ(bucket->get("errors")->as_int(), kNames);
+  EXPECT_EQ(*after.get("per_api")->get("CreateVpc"),
+            *before.get("per_api")->get("CreateVpc"));
+  EXPECT_EQ(after.get("total")->get("calls")->as_int(), kNames + 2);
 }
 
 std::vector<std::string> fault_decisions(CloudBackend& backend, int n) {

@@ -57,10 +57,8 @@
 #include "bench/serve_bench.h"
 #include "persist/journal.h"
 #include "persist/recovery.h"
-#include "persist/replica.h"
 #include "persist/snapshot.h"
 #include "persist/wal.h"
-#include "stack/route.h"
 #include "server/http.h"
 #include "server/json.h"
 #include "server/service.h"
@@ -126,12 +124,6 @@ int usage() {
                "                   cache (survives kill -9; default), batch =\n"
                "                   fdatasync per group-commit batch (survives OS\n"
                "                   crash)\n"
-               "      --replicas N  run N WAL-shipped read replicas and route\n"
-               "                   read-only APIs at them (requires --data-dir;\n"
-               "                   adds GET /admin/replicas, POST /admin/promote)\n"
-               "      --replica-lag-max K  bounded staleness: a replica serves a\n"
-               "                   read only when it trails the primary by at most\n"
-               "                   K committed records (default 64; 0 = strict)\n"
                "      --virtual-time  run the deterministic virtual clock: the\n"
                "                   store's timers advance only via POST /admin/tick\n"
                "                   ({\"Ticks\": N}, default 1), journaled like any\n"
@@ -332,8 +324,6 @@ int main(int argc, char** argv) {
     popts.snapshot_every = 10000;
     server::HttpServerOptions hopts;
     bool wait_stdin = true;
-    std::size_t replicas = 0;
-    std::uint64_t replica_lag_max = 64;
     bool virtual_time = false;
     int tick_ms = 0;
     std::string spec_path;
@@ -368,10 +358,6 @@ int main(int argc, char** argv) {
           std::cerr << "lce: unknown --wal-sync mode " << mode << "\n";
           return usage();
         }
-      } else if (arg == "--replicas" && i + 1 < argc) {
-        replicas = static_cast<std::size_t>(std::atoll(argv[++i]));
-      } else if (arg == "--replica-lag-max" && i + 1 < argc) {
-        replica_lag_max = static_cast<std::uint64_t>(std::atoll(argv[++i]));
       } else if (arg == "--virtual-time") {
         virtual_time = true;
       } else if (arg == "--tick-ms" && i + 1 < argc) {
@@ -433,31 +419,8 @@ int main(int argc, char** argv) {
                   << recovery.first_mismatch << ")\n";
       }
     }
-    std::unique_ptr<persist::ReplicaSet> replica_set;
-    if (replicas > 0) {
-      if (persist_mgr == nullptr) {
-        std::cerr << "lce: --replicas requires --data-dir (replicas consume the "
-                     "write-ahead log)\n";
-        return 1;
-      }
-      std::string error;
-      replica_set = persist::ReplicaSet::create(*persist_mgr, replicas, {}, &error);
-      if (replica_set == nullptr) {
-        std::cerr << "lce: cannot start replicas: " << error << "\n";
-        return 1;
-      }
-      config.route = [tier = replica_set.get(), lag = replica_lag_max,
-                      interp = &backend] {
-        stack::RouteOptions ropts;
-        ropts.lag_max = lag;
-        ropts.read_only = [interp](const std::string& api) {
-          return interp->read_only_api(api);
-        };
-        return std::make_unique<stack::RouteLayer>(tier, std::move(ropts));
-      };
-    }
     server::EmulatorEndpoint endpoint(backend, config, persist_mgr.get(), hopts,
-                                      replica_set.get(), virtual_time);
+                                      virtual_time);
     std::uint16_t bound = endpoint.start(static_cast<std::uint16_t>(port));
     if (bound == 0) {
       std::cerr << "lce: failed to bind port " << port << "\n";
@@ -470,10 +433,6 @@ int main(int argc, char** argv) {
     if (persist_mgr != nullptr) {
       std::cout << "  POST /admin/snapshot  |  GET /admin/persist  (data dir: "
                 << popts.data_dir << ")\n";
-    }
-    if (replica_set != nullptr) {
-      std::cout << "  GET  /admin/replicas  |  POST /admin/promote  (" << replicas
-                << " replica(s), lag max " << replica_lag_max << ")\n";
     }
     if (virtual_time) {
       std::cout << "  POST /admin/tick  {\"Ticks\": N}  (virtual time";
