@@ -55,8 +55,8 @@ struct LoadOptions {
   /// HTTP closed-loop keep-alive only: requests kept in flight per
   /// connection. Depth 1 is strict request/response ping-pong; deeper
   /// windows pipeline a burst per batch, amortizing the per-request RTT so
-  /// wire CPU (not syscall latency) dominates — the regime the zero-copy
-  /// fast path is gated in. Latency is measured from the batch send, so
+  /// wire CPU (not syscall latency) dominates — the regime the
+  /// http_fastpath_pipelined row measures. Latency is measured from the batch send, so
   /// pipeline queueing is charged to the server. Ignored in open-loop and
   /// Connection: close modes.
   int http_pipeline = 1;

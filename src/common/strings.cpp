@@ -124,12 +124,18 @@ bool parse_int(std::string_view s, std::int64_t& out) {
     i = 1;
     if (s.size() == 1) return false;
   }
-  std::int64_t v = 0;
+  // Accumulate the magnitude unsigned: INT64_MIN's magnitude is one past
+  // INT64_MAX, and a signed accumulator would overflow on it.
+  const std::uint64_t limit =
+      neg ? std::uint64_t{1} << 63 : (std::uint64_t{1} << 63) - 1;
+  std::uint64_t v = 0;
   for (; i < s.size(); ++i) {
     if (!std::isdigit(static_cast<unsigned char>(s[i]))) return false;
-    v = v * 10 + (s[i] - '0');
+    auto digit = static_cast<std::uint64_t>(s[i] - '0');
+    if (v > (limit - digit) / 10) return false;
+    v = v * 10 + digit;
   }
-  out = neg ? -v : v;
+  out = neg ? static_cast<std::int64_t>(0 - v) : static_cast<std::int64_t>(v);
   return true;
 }
 

@@ -585,11 +585,13 @@ ApiResponse Interpreter::invoke(const ApiRequest& req) {
   if (req.api == timers::kAdvanceClockApi) return advance_clock(req);
   FailureSite site;
   ApiResponse resp;
-  if (opts_.use_arena && detail::current_arena() == nullptr) {
-    // Request-scoped arena: every transient Value rep block this invoke
-    // builds on this thread is bump-allocated and reclaimed in one reset.
-    // Store writes detach at the write site; the response detaches here,
-    // after which no arena-backed Value survives.
+  if (detail::current_arena() == nullptr) {
+    // Request-scoped arena (common/arena.h): every transient Value rep
+    // block this invoke builds on this thread — parameter copies, eval
+    // temporaries, response assembly — is bump-allocated and reclaimed in
+    // one reset. Store writes detach at the write site; the response
+    // detaches here, after which no arena-backed Value survives. Purely an
+    // allocation-count optimization: bytes are identical either way.
     static thread_local Arena arena;
     {
       ArenaScope scope(arena);

@@ -43,13 +43,6 @@ struct InterpreterOptions {
   /// reference path; both produce byte-identical responses, dumps and
   /// alignment reports (enforced by the differential equivalence suite).
   bool use_plan = true;
-  /// Serve each invoke with a request-scoped bump arena (common/arena.h)
-  /// backing every transient Value rep block — parameter copies, eval
-  /// temporaries, response assembly. Values escaping the request (store
-  /// writes, the returned response) are detached to the heap; the arena
-  /// is reset once per invoke. Purely an allocation-count optimization:
-  /// responses, dumps and reports are byte-identical either way.
-  bool use_arena = true;
   /// Optional message enrichment.
   MessageDecoder decoder;
   /// Backend display name.

@@ -42,11 +42,10 @@ bool send_all(int fd, std::string_view data) {
 
 /// Body of the 500 the exception barrier answers with: the service's JSON
 /// error shape, so clients decode it like any other InternalError.
-std::string internal_error_body(std::string_view what) {
-  std::string body = R"({"Error":{"Code":"InternalError","Message":)";
-  append_json(Value(strf("request handler threw: ", what)), body);
-  body += "}}";
-  return body;
+void append_internal_error_body(std::string_view what, std::string& out) {
+  out += R"({"Error":{"Code":"InternalError","Message":)";
+  append_json(Value(strf("request handler threw: ", what)), out);
+  out += "}}";
 }
 
 int status_for(ParseStatus st) {
@@ -124,14 +123,6 @@ int connect_loopback(std::uint16_t port) {
 
 }  // namespace
 
-std::optional<HttpRequest> parse_http_request(const std::string& raw) {
-  HttpParser parser;
-  parser.feed(raw);
-  HttpRequest req;
-  if (parser.next(req) != ParseStatus::kRequest) return std::nullopt;
-  return req;
-}
-
 std::string_view status_text(int status) {
   switch (status) {
     case 200: return "OK";
@@ -145,19 +136,6 @@ std::string_view status_text(int status) {
     case 500: return "Internal Server Error";
     default: return "Unknown";
   }
-}
-
-std::string serialize_http_response(const HttpResponse& resp, bool keep_alive) {
-  std::string out = strf("HTTP/1.1 ", resp.status, " ", status_text(resp.status), "\r\n");
-  for (const auto& [k, v] : resp.headers) out += strf(k, ": ", v, "\r\n");
-  out += strf("content-length: ", resp.body.size(), "\r\n");
-  out += keep_alive ? "connection: keep-alive\r\n\r\n" : "connection: close\r\n\r\n";
-  out += resp.body;
-  return out;
-}
-
-std::string serialize_http_response(const HttpResponse& resp) {
-  return serialize_http_response(resp, /*keep_alive=*/false);
 }
 
 void ResponseWriter::begin(int status, bool keep_alive, bool json_body) {
@@ -185,8 +163,7 @@ void ResponseWriter::finish() {
   std::size_t body_len = out_.size() - body_pos_;
   char dbuf[24];
   int digits = std::snprintf(dbuf, sizeof(dbuf), "%zu", body_len);
-  // Backpatch with minimal digits — the wire bytes must match
-  // serialize_http_response exactly, padding included (i.e. none).
+  // Backpatch with minimal digits: a Content-Length never carries padding.
   if (digits > reserved_) {
     out_.insert(cl_pos_, static_cast<std::size_t>(digits - reserved_), '0');
   } else if (digits < reserved_) {
@@ -224,6 +201,15 @@ struct ConnState {
   std::size_t pending() const { return out.size() - out_pos; }
 };
 
+/// The event loop's own plain-text answers (parser rejections, truncated
+/// requests); each one closes the connection.
+void render_plain(ConnState& conn, int status, std::string_view body) {
+  ResponseWriter writer(conn.out, conn.cl_hint);
+  writer.begin(status, /*keep_alive=*/false, /*json_body=*/false);
+  writer.body() += body;
+  writer.finish();
+}
+
 }  // namespace
 
 struct HttpServer::Loop {
@@ -233,7 +219,7 @@ struct HttpServer::Loop {
   std::unordered_map<int, ConnState> conns;
 };
 
-HttpServer::HttpServer(HttpHandler handler, HttpServerOptions opts)
+HttpServer::HttpServer(WireHandler handler, HttpServerOptions opts)
     : handler_(std::move(handler)), opts_(opts) {}
 
 HttpServer::~HttpServer() { stop(); }
@@ -483,18 +469,15 @@ void HttpServer::handle_conn_event(Loop& loop, int fd, std::uint32_t ev) {
       // below (corking). Views borrowed from the parser stay valid through
       // the handler call because nothing feeds the parser until this loop
       // finishes.
-      bool wire = wire_handler_ != nullptr && opts_.wire_fastpath;
       for (;;) {
-        HttpRequest req;
-        ParseStatus st =
-            wire ? conn.parser.next_view(conn.view) : conn.parser.next(req);
+        ParseStatus st = conn.parser.next_view(conn.view);
         if (st == ParseStatus::kNeedMore) break;
         if (st == ParseStatus::kRequest) {
           ++conn.requests;
           served_.fetch_add(1, std::memory_order_relaxed);
           if (conn.requests > 1) reused_.fetch_add(1, std::memory_order_relaxed);
-          bool keep = (wire ? wants_keep_alive(conn.view) : wants_keep_alive(req)) &&
-                      running_.load(std::memory_order_acquire);
+          bool keep =
+              wants_keep_alive(conn.view) && running_.load(std::memory_order_acquire);
           if (opts_.max_requests_per_conn > 0 &&
               conn.requests >= static_cast<std::uint64_t>(opts_.max_requests_per_conn)) {
             keep = false;
@@ -506,25 +489,14 @@ void HttpServer::handle_conn_event(Loop& loop, int fd, std::uint32_t ev) {
           auto internal_error = [&](std::string_view what) {
             conn.out.resize(mark);
             internal_errors_.fetch_add(1, std::memory_order_relaxed);
-            std::string body = internal_error_body(what);
-            if (wire) {
-              ResponseWriter writer(conn.out, conn.cl_hint);
-              writer.begin(500, keep, /*json_body=*/true);
-              writer.body() += body;
-              writer.finish();
-            } else {
-              conn.out += serialize_http_response(
-                  HttpResponse{500, {{"content-type", "application/json"}}, std::move(body)},
-                  keep);
-            }
+            ResponseWriter writer(conn.out, conn.cl_hint);
+            writer.begin(500, keep, /*json_body=*/true);
+            append_internal_error_body(what, writer.body());
+            writer.finish();
           };
           try {
-            if (wire) {
-              ResponseWriter writer(conn.out, conn.cl_hint);
-              wire_handler_(conn.view, keep, writer);
-            } else {
-              conn.out += serialize_http_response(handler_(req), keep);
-            }
+            ResponseWriter writer(conn.out, conn.cl_hint);
+            handler_(conn.view, keep, writer);
           } catch (const std::exception& e) {
             internal_error(e.what());
           } catch (...) {
@@ -544,15 +516,7 @@ void HttpServer::handle_conn_event(Loop& loop, int fd, std::uint32_t ev) {
            : status == 413 ? rej413_
                            : rej400_)
               .fetch_add(1, std::memory_order_relaxed);
-          if (wire) {
-            ResponseWriter writer(conn.out, conn.cl_hint);
-            writer.begin(status, /*keep_alive=*/false, /*json_body=*/false);
-            writer.body() += "malformed request";
-            writer.finish();
-          } else {
-            conn.out += serialize_http_response(
-                HttpResponse{status, {}, "malformed request"}, /*keep_alive=*/false);
-          }
+          render_plain(conn, status, "malformed request");
           conn.close_after_flush = true;
           break;
         }
@@ -566,15 +530,7 @@ void HttpServer::handle_conn_event(Loop& loop, int fd, std::uint32_t ev) {
     if (conn.parser.buffered() > 0 && conn.pending() == 0) {
       // The peer half-closed mid-request; it can still read the verdict.
       rej400_.fetch_add(1, std::memory_order_relaxed);
-      if (wire_handler_ != nullptr && opts_.wire_fastpath) {
-        ResponseWriter writer(conn.out, conn.cl_hint);
-        writer.begin(400, /*keep_alive=*/false, /*json_body=*/false);
-        writer.body() += "truncated request";
-        writer.finish();
-      } else {
-        conn.out += serialize_http_response(HttpResponse{400, {}, "truncated request"},
-                                            /*keep_alive=*/false);
-      }
+      render_plain(conn, 400, "truncated request");
     }
     conn.close_after_flush = true;
   }

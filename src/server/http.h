@@ -20,14 +20,6 @@
 
 namespace lce::server {
 
-struct HttpRequest {
-  std::string method;  // "GET" / "POST"
-  std::string path;    // "/invoke"
-  std::map<std::string, std::string> headers;  // lower-cased keys
-  std::string body;
-  int version_minor = 1;  // HTTP/1.0 vs 1.1 (keep-alive default differs)
-};
-
 struct HttpResponse {
   int status = 200;
   std::map<std::string, std::string> headers;
@@ -63,10 +55,9 @@ struct RequestView {
 /// backpatched to minimal digits in finish(). The digit field is reserved
 /// at the connection's predicted width (`cl_width_hint`, fed back after
 /// every response), so a steady stream of similar-sized responses patches
-/// the digits in place without moving a single byte. Byte-identical to
-/// serialize_http_response for the header sets the service emits (none, or
-/// exactly content-type: application/json) — pinned by the differential
-/// suite.
+/// the digits in place without moving a single byte. The only response
+/// renderer the server has; the WireFastpathWriter suite pins its bytes to
+/// a test-side reference serializer.
 class ResponseWriter {
  public:
   ResponseWriter(std::string& out, int& cl_width_hint)
@@ -87,26 +78,11 @@ class ResponseWriter {
   int reserved_ = 0;         // digits reserved at begin()
 };
 
-/// Parse a full HTTP/1.1 request out of `raw` (headers + body). Returns
-/// nullopt on malformed input or when the body is shorter than
-/// Content-Length (callers accumulate and retry). One-shot convenience
-/// over HttpParser (server/http_parser.h), which is the incremental form
-/// the event loop uses.
-std::optional<HttpRequest> parse_http_request(const std::string& raw);
-
-/// Serialize a response with Content-Length and a Connection header
-/// matching `keep_alive`. The one-argument form closes (the historical
-/// contract every one-shot caller relies on).
-std::string serialize_http_response(const HttpResponse& resp, bool keep_alive);
-std::string serialize_http_response(const HttpResponse& resp);
-
 /// Reason phrase for the handful of statuses the service uses.
 std::string_view status_text(int status);
 
-using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
-
-/// Zero-copy handler form: reads the borrowed request, renders the
-/// response through the writer (begin/body/finish). `keep_alive` is the
+/// Request handler: reads the borrowed request, renders the response
+/// through the writer (begin/body/finish). `keep_alive` is the
 /// server's verdict (client wish ∩ server policy) and must be passed to
 /// ResponseWriter::begin unchanged.
 using WireHandler = std::function<void(const RequestView&, bool keep_alive,
@@ -126,11 +102,6 @@ struct HttpServerOptions {
   /// Parser limits: oversized headers draw 431, oversized bodies 413.
   std::size_t max_header_bytes = 64 * 1024;
   std::size_t max_body_bytes = 16 * 1024 * 1024;
-  /// Serve through the zero-copy wire path (borrowed request views, arena
-  /// JSON decode, single-buffer rendering) when the service installed a
-  /// wire handler. Off (`--no-wire-fastpath`) falls back to the heap
-  /// HttpRequest/HttpResponse path — the byte-identical reference.
-  bool wire_fastpath = true;
 };
 
 /// Monotonic counters for the life of the server (across start/stop
@@ -160,16 +131,11 @@ struct HttpServerStats {
 /// aborts in-flight connections, and joins — no detached threads survive.
 class HttpServer {
  public:
-  explicit HttpServer(HttpHandler handler, HttpServerOptions opts = {});
+  explicit HttpServer(WireHandler handler, HttpServerOptions opts = {});
   ~HttpServer();
 
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
-
-  /// Install the zero-copy handler; served instead of the HttpHandler when
-  /// opts.wire_fastpath holds. Call before start() — the event loops read
-  /// it unsynchronized.
-  void set_wire_handler(WireHandler handler) { wire_handler_ = std::move(handler); }
 
   /// Returns the bound port, or 0 on failure.
   std::uint16_t start(std::uint16_t port = 0);
@@ -187,8 +153,7 @@ class HttpServer {
   void handle_conn_event(Loop& loop, int fd, std::uint32_t events);
   void reap_idle(Loop& loop);
 
-  HttpHandler handler_;
-  WireHandler wire_handler_;
+  WireHandler handler_;
   HttpServerOptions opts_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;

@@ -14,10 +14,11 @@ namespace {
 
 // One scanner, two build modes. `direct` constructs the tree in place via
 // Value::set/append with interned keys (arena-backed while an ArenaScope is
-// active); the reference mode goes through the historical Value::Map /
-// Value::List builders. Both modes share every branch of the scanner so
-// acceptance, error offsets, and error messages cannot diverge — the
-// WireFastpathJson suite differences them anyway.
+// active) and is the only mode the server decodes with; the reference mode
+// goes through the Value::Map / Value::List builders and exists as the
+// test oracle. Both modes share every branch of the scanner so acceptance,
+// error offsets, and error messages cannot diverge — the WireFastpathJson
+// suite differences them anyway.
 class Parser {
  public:
   Parser(std::string_view text, JsonError* error, bool direct)

@@ -12,10 +12,11 @@
 //                         the request arena, so steady-state decode does
 //                         zero heap allocations (DESIGN.md "Wire fast
 //                         path"). This is the serving path.
-//   parse_json_reference  the historical builder path (Value::Map /
-//                         Value::List, std::string keys) — the oracle the
-//                         fast decoder is differenced against, and the
-//                         decoder behind --no-wire-fastpath.
+//   parse_json_reference  the builder path (Value::Map / Value::List,
+//                         std::string keys) — a build mode of the same
+//                         scanner kept as the oracle the serving decoder
+//                         is differenced against. Nothing serves through
+//                         it.
 #pragma once
 
 #include <optional>
@@ -38,7 +39,7 @@ struct JsonError {
 /// surface is integer-only). Arena-aware: see the header comment.
 std::optional<Value> parse_json(std::string_view text, JsonError* error = nullptr);
 
-/// The historical builder-based decoder; byte-identical semantics to
+/// The builder-based decoder (test oracle); byte-identical semantics to
 /// parse_json, always heap-owning construction forms.
 std::optional<Value> parse_json_reference(std::string_view text,
                                           JsonError* error = nullptr);

@@ -15,10 +15,8 @@ namespace lce::server {
 namespace {
 
 /// Route-core result: every emulator route answers a status plus a JSON
-/// Value. Rendering happens in the caller — the heap path serializes into
-/// an HttpResponse, the wire path appends straight into the connection's
-/// output buffer — so both paths share one routing brain and stay
-/// byte-identical by construction.
+/// Value, which the caller renders straight into the connection's output
+/// buffer.
 struct RouteReply {
   int status = 200;
   Value body;
@@ -50,22 +48,15 @@ Value server_stats_value(const HttpServerStats& s) {
   return m;
 }
 
-/// The routing brain behind both handler forms. `fast_decode` selects the
-/// arena/direct JSON decoder (the serving path) vs the historical builder
-/// (the --no-wire-fastpath reference); both accept the same texts with the
-/// same errors. Backend and persist calls run under ArenaPause so any
-/// Value a layer retains (trace records, read-cache entries, store writes)
-/// lands on the heap even when the wire path has a request arena active —
-/// the request's own scratch (decoded doc, response body) stays
-/// arena-backed and dies with the returned RouteReply.
+/// The routing brain. Backend and persist calls run under ArenaPause so
+/// any Value a layer retains (trace records, read-cache entries, store
+/// writes) lands on the heap while the request arena is active — the
+/// request's own scratch (decoded doc, response body) stays arena-backed
+/// and dies with the returned RouteReply.
 RouteReply route_emulator_request(CloudBackend& backend, std::string_view method,
                                   std::string_view path, std::string_view body,
                                   persist::PersistManager* persist,
-                                  const HttpServer* server, bool virtual_time,
-                                  bool fast_decode) {
-  auto parse_body = [&](JsonError* jerr) {
-    return fast_decode ? parse_json(body, jerr) : parse_json_reference(body, jerr);
-  };
+                                  const HttpServer* server, bool virtual_time) {
   auto* layered = dynamic_cast<stack::LayerStack*>(&backend);
   if (path == "/admin/tick") {
     if (!virtual_time) {
@@ -80,7 +71,7 @@ RouteReply route_emulator_request(CloudBackend& backend, std::string_view method
     std::int64_t ticks = 1;
     if (!body.empty()) {
       JsonError jerr;
-      auto doc = parse_body(&jerr);
+      auto doc = parse_json(body, &jerr);
       if (!doc || !doc->is_map()) {
         return error_reply(400, "MalformedRequest",
                            doc ? "request body must be a JSON object" : jerr.to_text());
@@ -196,7 +187,7 @@ RouteReply route_emulator_request(CloudBackend& backend, std::string_view method
   }
   if (method == "POST" && path == "/invoke") {
     JsonError jerr;
-    auto doc = parse_body(&jerr);
+    auto doc = parse_json(body, &jerr);
     if (!doc || !doc->is_map()) {
       return error_reply(400, "MalformedRequest",
                          doc ? "request body must be a JSON object" : jerr.to_text());
@@ -239,18 +230,24 @@ RouteReply route_emulator_request(CloudBackend& backend, std::string_view method
 
 }  // namespace
 
-HttpResponse handle_emulator_request(CloudBackend& backend, const HttpRequest& req,
-                                     persist::PersistManager* persist,
-                                     const HttpServer* server,
-                                     bool virtual_time) {
-  RouteReply reply =
-      route_emulator_request(backend, req.method, req.path, req.body, persist, server,
-                             virtual_time, /*fast_decode=*/false);
-  HttpResponse resp;
-  resp.status = reply.status;
-  resp.headers["content-type"] = "application/json";
-  resp.body = to_json(reply.body);
-  return resp;
+void serve_emulator_request(CloudBackend& backend, const RequestView& req,
+                           bool keep_alive, ResponseWriter& writer,
+                           persist::PersistManager* persist, const HttpServer* server,
+                           bool virtual_time) {
+  // The RouteReply must die before the arena rewinds, and the rewind must
+  // also happen when routing throws — hence the guard declared before the
+  // scope, so it is destroyed after it.
+  static thread_local Arena arena;
+  struct Rewind {
+    Arena& arena;
+    ~Rewind() { arena.reset(); }
+  } rewind{arena};
+  ArenaScope scope(arena);
+  RouteReply reply = route_emulator_request(backend, req.method, req.path, req.body,
+                                            persist, server, virtual_time);
+  writer.begin(reply.status, keep_alive, /*json_body=*/true);
+  append_json(reply.body, writer.body());
+  writer.finish();
 }
 
 namespace {
@@ -275,33 +272,11 @@ EmulatorEndpoint::EmulatorEndpoint(CloudBackend& backend, stack::StackConfig con
       persist_(persist),
       virtual_time_(virtual_time),
       server_(
-          [this](const HttpRequest& req) {
-            return handle_emulator_request(stack_, req, persist_, &server_,
-                                           virtual_time_);
+          [this](const RequestView& req, bool keep_alive, ResponseWriter& writer) {
+            serve_emulator_request(stack_, req, keep_alive, writer, persist_, &server_,
+                                   virtual_time_);
           },
-          http) {
-  // Zero-copy serving path (gated at runtime by http.wire_fastpath): route
-  // under a per-io-thread request arena, render head + JSON body straight
-  // into the connection's output buffer. The RouteReply must die before
-  // the arena rewinds, and the rewind must also happen when routing throws
-  // (the server's exception barrier answers 500) — hence the guard
-  // declared before the scope, so it is destroyed after it.
-  server_.set_wire_handler(
-      [this](const RequestView& req, bool keep_alive, ResponseWriter& writer) {
-        static thread_local Arena arena;
-        struct Rewind {
-          Arena& arena;
-          ~Rewind() { arena.reset(); }
-        } rewind{arena};
-        ArenaScope scope(arena);
-        RouteReply reply =
-            route_emulator_request(stack_, req.method, req.path, req.body, persist_,
-                                   &server_, virtual_time_, /*fast_decode=*/true);
-        writer.begin(reply.status, keep_alive, /*json_body=*/true);
-        append_json(reply.body, writer.body());
-        writer.finish();
-      });
-}
+          http) {}
 
 std::uint16_t EmulatorEndpoint::start(std::uint16_t port) { return server_.start(port); }
 

@@ -42,8 +42,13 @@ namespace lce::server {
 /// (ids travel as plain JSON strings and are re-tagged before dispatch).
 using stack::looks_like_resource_id;
 
-/// Translate one HTTP request into a backend call (exposed separately so
-/// tests can exercise routing without sockets). When `backend` is a
+/// Serve one request without a socket: route `req` onto `backend` and
+/// render the JSON response through `writer`, whose Connection header
+/// follows `keep_alive`. This is the handler EmulatorEndpoint installs on
+/// its HttpServer; tests call it with a hand-built RequestView and a
+/// std::string buffer. Routing runs under a per-thread request arena that
+/// is rewound on return, also when a backend throws (the server's
+/// exception barrier then answers 500). When `backend` is a
 /// stack::LayerStack the chain-aware endpoints (/metrics, the /health
 /// "layers" field) light up. `persist` (may be null) serves the
 /// /admin/snapshot and /admin/persist durability routes. `server` (may be
@@ -53,10 +58,11 @@ using stack::looks_like_resource_id;
 /// POST /admin/tick ({"Ticks": N}, default 1), which pushes an
 /// _AdvanceClock call through the stack so the journal logs the advance
 /// like any other write.
-HttpResponse handle_emulator_request(CloudBackend& backend, const HttpRequest& req,
-                                     persist::PersistManager* persist = nullptr,
-                                     const HttpServer* server = nullptr,
-                                     bool virtual_time = false);
+void serve_emulator_request(CloudBackend& backend, const RequestView& req,
+                           bool keep_alive, ResponseWriter& writer,
+                           persist::PersistManager* persist = nullptr,
+                           const HttpServer* server = nullptr,
+                           bool virtual_time = false);
 
 /// A running emulator endpoint; owns the server thread and the layer stack
 /// built around the backend (default: serialize + validate + metrics), not

@@ -82,7 +82,7 @@ class Lexer {
       while (std::isdigit(static_cast<unsigned char>(peek()))) num += advance();
       t.kind = TokKind::kInt;
       t.text = num;
-      (void)parse_int(num, t.int_value);
+      if (!parse_int(num, t.int_value)) fail("integer literal out of range: " + num);
       return t;
     }
     if (c == '"') {

@@ -74,6 +74,15 @@ TEST(Strings, ParseIntAcceptsSigns) {
   EXPECT_FALSE(parse_int("", v));
   EXPECT_FALSE(parse_int("4x", v));
   EXPECT_FALSE(parse_int("-", v));
+  // The int64_t bounds parse; one past either is rejected, not wrapped.
+  EXPECT_TRUE(parse_int("9223372036854775807", v));
+  EXPECT_EQ(v, INT64_MAX);
+  EXPECT_TRUE(parse_int("-9223372036854775808", v));
+  EXPECT_EQ(v, INT64_MIN);
+  EXPECT_FALSE(parse_int("9223372036854775808", v));
+  EXPECT_FALSE(parse_int("-9223372036854775809", v));
+  EXPECT_FALSE(parse_int("99999999999999999999", v));
+  EXPECT_EQ(v, INT64_MIN);  // unchanged by the rejected inputs
 }
 
 TEST(Strings, FixedFormatsDigits) {

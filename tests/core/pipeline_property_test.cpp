@@ -30,10 +30,6 @@ const PipelineCase kCases[] = {
     {"azure_defective", "azure", 0.15, 11},
 };
 
-std::string case_name(const ::testing::TestParamInfo<PipelineCase>& info) {
-  return info.param.name;
-}
-
 docs::CloudCatalog truth_of(const PipelineCase& c) {
   return c.provider == "azure" ? docs::build_azure_catalog()
                                : docs::build_aws_catalog();
@@ -48,17 +44,11 @@ docs::CloudCatalog documented_of(const PipelineCase& c) {
   return catalog;
 }
 
-class PipelineProperty : public ::testing::TestWithParam<PipelineCase> {
- protected:
-  docs::CloudCatalog truth() const { return truth_of(GetParam()); }
-  docs::CloudCatalog documented() const { return documented_of(GetParam()); }
-};
-
 // Keyed by case name, not by PipelineCase: gtest prints a struct parameter
 // as its raw bytes, heap pointers included, and that text is part of the
-// discovered ctest name, so this suite's names stay the same from one build
-// to the next.
-class WrangleProperty : public ::testing::TestWithParam<std::string> {
+// discovered ctest name, so these names stay the same from one build to
+// the next.
+class PipelineProperty : public ::testing::TestWithParam<std::string> {
  protected:
   const PipelineCase& pipeline_case() const {
     for (const auto& c : kCases) {
@@ -67,7 +57,12 @@ class WrangleProperty : public ::testing::TestWithParam<std::string> {
     ADD_FAILURE() << "unknown pipeline case " << GetParam();
     return kCases[0];
   }
+  docs::CloudCatalog truth() const { return truth_of(pipeline_case()); }
+  docs::CloudCatalog documented() const { return documented_of(pipeline_case()); }
 };
+
+// The wrangle check keeps its own suite name on the same fixture.
+using WrangleProperty = PipelineProperty;
 
 TEST_P(WrangleProperty, IsLossless) {
   const PipelineCase& c = pipeline_case();
@@ -177,16 +172,20 @@ TEST(PipelineEvolution, ReSynthesisTracksDocUpdates) {
   EXPECT_EQ(emu_resp[2].code, "LimitExceededException");
 }
 
-INSTANTIATE_TEST_SUITE_P(Providers, PipelineProperty,
-                         ::testing::ValuesIn(kCases), case_name);
+std::vector<std::string> case_names() {
+  std::vector<std::string> names;
+  for (const auto& c : kCases) names.push_back(c.name);
+  return names;
+}
 
-INSTANTIATE_TEST_SUITE_P(
-    Providers, WrangleProperty,
-    ::testing::Values("aws_clean", "azure_clean", "aws_defective",
-                      "azure_defective"),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      return info.param;
-    });
+std::string case_name(const ::testing::TestParamInfo<std::string>& info) {
+  return info.param;
+}
+
+INSTANTIATE_TEST_SUITE_P(Providers, PipelineProperty,
+                         ::testing::ValuesIn(case_names()), case_name);
+INSTANTIATE_TEST_SUITE_P(Providers, WrangleProperty,
+                         ::testing::ValuesIn(case_names()), case_name);
 
 }  // namespace
 }  // namespace lce::core

@@ -15,12 +15,15 @@
 
 #include "common/rng.h"
 #include "common/strings.h"
+#include "heap_oracle.h"
 #include "raw_client.h"
 #include "server/http.h"
 
 namespace lce::server {
 namespace {
 
+using testing::HttpRequest;
+using testing::next_request;
 using testing::RawClient;
 
 const char kPost[] =
@@ -41,7 +44,7 @@ DrainResult drain(HttpParser& parser) {
   DrainResult out;
   for (;;) {
     HttpRequest req;
-    ParseStatus st = parser.next(req);
+    ParseStatus st = next_request(parser, req);
     if (st == ParseStatus::kRequest) {
       out.requests.push_back(std::move(req));
       continue;
@@ -65,10 +68,10 @@ TEST(HttpParserTorture, ByteAtATimeYieldsTheSameRequest) {
   HttpRequest req;
   for (std::size_t i = 0; i + 1 < raw.size(); ++i) {
     parser.feed({&raw[i], 1});
-    EXPECT_EQ(parser.next(req), ParseStatus::kNeedMore) << "at byte " << i;
+    EXPECT_EQ(next_request(parser, req), ParseStatus::kNeedMore) << "at byte " << i;
   }
   parser.feed({&raw[raw.size() - 1], 1});
-  ASSERT_EQ(parser.next(req), ParseStatus::kRequest);
+  ASSERT_EQ(next_request(parser, req), ParseStatus::kRequest);
   EXPECT_EQ(req.method, "POST");
   EXPECT_EQ(req.path, "/invoke");
   EXPECT_EQ(req.headers.at("content-type"), "application/json");
@@ -111,14 +114,14 @@ TEST(HttpParserTorture, PipelinedRequestsPopInOrder) {
       "POST /b HTTP/1.1\r\ncontent-length: 3\r\n\r\nxyz"
       "GET /c HTTP/1.1\r\n\r\n");
   HttpRequest req;
-  ASSERT_EQ(parser.next(req), ParseStatus::kRequest);
+  ASSERT_EQ(next_request(parser, req), ParseStatus::kRequest);
   EXPECT_EQ(req.path, "/a");
-  ASSERT_EQ(parser.next(req), ParseStatus::kRequest);
+  ASSERT_EQ(next_request(parser, req), ParseStatus::kRequest);
   EXPECT_EQ(req.path, "/b");
   EXPECT_EQ(req.body, "xyz");
-  ASSERT_EQ(parser.next(req), ParseStatus::kRequest);
+  ASSERT_EQ(next_request(parser, req), ParseStatus::kRequest);
   EXPECT_EQ(req.path, "/c");
-  EXPECT_EQ(parser.next(req), ParseStatus::kNeedMore);
+  EXPECT_EQ(next_request(parser, req), ParseStatus::kNeedMore);
   EXPECT_EQ(parser.buffered(), 0u);
 }
 
@@ -126,13 +129,13 @@ TEST(HttpParserTorture, BareLfAndMixedLineEndingsAccepted) {
   HttpParser parser;
   parser.feed("GET /health HTTP/1.1\nHost: x\ncontent-length: 2\n\nok");
   HttpRequest req;
-  ASSERT_EQ(parser.next(req), ParseStatus::kRequest);
+  ASSERT_EQ(next_request(parser, req), ParseStatus::kRequest);
   EXPECT_EQ(req.path, "/health");
   EXPECT_EQ(req.body, "ok");
 
   HttpParser mixed;
   mixed.feed("GET / HTTP/1.1\r\nA: 1\nB: 2\r\n\n");
-  ASSERT_EQ(mixed.next(req), ParseStatus::kRequest);
+  ASSERT_EQ(next_request(mixed, req), ParseStatus::kRequest);
   EXPECT_EQ(req.headers.at("a"), "1");
   EXPECT_EQ(req.headers.at("b"), "2");
 }
@@ -141,7 +144,7 @@ TEST(HttpParserTorture, HeaderNamesLowercasedValuesTrimmed) {
   HttpParser parser;
   parser.feed("GET / HTTP/1.1\r\nX-CuStOm-HeAdEr:    spaced value  \r\n\r\n");
   HttpRequest req;
-  ASSERT_EQ(parser.next(req), ParseStatus::kRequest);
+  ASSERT_EQ(next_request(parser, req), ParseStatus::kRequest);
   EXPECT_EQ(req.headers.at("x-custom-header"), "spaced value");
 }
 
@@ -149,7 +152,7 @@ TEST(HttpParserTorture, LeadingBlankLinesBeforeRequestSkipped) {
   HttpParser parser;
   parser.feed("\r\n\r\n\nGET /x HTTP/1.1\r\n\r\n");
   HttpRequest req;
-  ASSERT_EQ(parser.next(req), ParseStatus::kRequest);
+  ASSERT_EQ(next_request(parser, req), ParseStatus::kRequest);
   EXPECT_EQ(req.path, "/x");
 }
 
@@ -157,9 +160,9 @@ TEST(HttpParserTorture, Http10VersionCaptured) {
   HttpParser parser;
   parser.feed("GET / HTTP/1.0\r\n\r\nGET / HTTP/1.1\r\n\r\n");
   HttpRequest req;
-  ASSERT_EQ(parser.next(req), ParseStatus::kRequest);
+  ASSERT_EQ(next_request(parser, req), ParseStatus::kRequest);
   EXPECT_EQ(req.version_minor, 0);
-  ASSERT_EQ(parser.next(req), ParseStatus::kRequest);
+  ASSERT_EQ(next_request(parser, req), ParseStatus::kRequest);
   EXPECT_EQ(req.version_minor, 1);
 }
 
@@ -174,16 +177,17 @@ TEST(HttpParserTorture, MalformedInputsDrawBadRequest) {
       "GET / HTTP/1.1\r\nA: 1\r\n  folded\r\n\r\n",   // obsolete folding
       "POST / HTTP/1.1\r\ncontent-length: -4\r\n\r\n",
       "POST / HTTP/1.1\r\ncontent-length: ten\r\n\r\n",
+      "POST / HTTP/1.1\r\ncontent-length: 99999999999999999999\r\n\r\n",  // > int64
       "POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n",
   };
   for (const char* raw : cases) {
     HttpParser parser;
     parser.feed(raw);
     HttpRequest req;
-    EXPECT_EQ(parser.next(req), ParseStatus::kBadRequest) << raw;
+    EXPECT_EQ(next_request(parser, req), ParseStatus::kBadRequest) << raw;
     // Sticky: feeding a valid request afterwards cannot resurrect it.
     parser.feed(kPost);
-    EXPECT_EQ(parser.next(req), ParseStatus::kBadRequest) << raw;
+    EXPECT_EQ(next_request(parser, req), ParseStatus::kBadRequest) << raw;
   }
 }
 
@@ -191,9 +195,9 @@ TEST(HttpParserTorture, OversizedHeadersRejectedEvenWhileIncomplete) {
   HttpParser parser(ParserLimits{64, 1024});
   parser.feed("GET / HTTP/1.1\r\nX-Pad: ");
   HttpRequest req;
-  EXPECT_EQ(parser.next(req), ParseStatus::kNeedMore);
+  EXPECT_EQ(next_request(parser, req), ParseStatus::kNeedMore);
   parser.feed(std::string(200, 'a'));  // never terminates the header block
-  EXPECT_EQ(parser.next(req), ParseStatus::kHeadersTooLarge);
+  EXPECT_EQ(next_request(parser, req), ParseStatus::kHeadersTooLarge);
 }
 
 TEST(HttpParserTorture, OversizedBodyRejectedFromDeclaredLength) {
@@ -201,24 +205,24 @@ TEST(HttpParserTorture, OversizedBodyRejectedFromDeclaredLength) {
   parser.feed("POST / HTTP/1.1\r\ncontent-length: 9\r\n\r\n");
   HttpRequest req;
   // Rejected on the declared length alone — no body bytes needed.
-  EXPECT_EQ(parser.next(req), ParseStatus::kBodyTooLarge);
+  EXPECT_EQ(next_request(parser, req), ParseStatus::kBodyTooLarge);
 }
 
 TEST(HttpParserTorture, ResetReArmsAfterError) {
   HttpParser parser;
   parser.feed("garbage\r\n\r\n");
   HttpRequest req;
-  EXPECT_EQ(parser.next(req), ParseStatus::kBadRequest);
+  EXPECT_EQ(next_request(parser, req), ParseStatus::kBadRequest);
   parser.reset();
   parser.feed(kPost);
-  EXPECT_EQ(parser.next(req), ParseStatus::kRequest);
+  EXPECT_EQ(next_request(parser, req), ParseStatus::kRequest);
 }
 
 TEST(HttpParserTorture, KeepAliveNegotiation) {
   auto req_with = [](int minor, const char* connection) {
-    HttpRequest req;
+    RequestView req;
     req.version_minor = minor;
-    if (connection != nullptr) req.headers["connection"] = connection;
+    if (connection != nullptr) req.headers.emplace_back("connection", connection);
     return req;
   };
   EXPECT_TRUE(wants_keep_alive(req_with(1, nullptr)));         // 1.1 default
@@ -313,10 +317,10 @@ class HttpTorture : public ::testing::Test {
   /// ORDER is observable.
   HttpServer make_server(HttpServerOptions o) {
     return HttpServer(
-        [](const HttpRequest& req) {
-          HttpResponse resp;
-          resp.body = req.method + " " + req.path + " [" + req.body + "]";
-          return resp;
+        [](const RequestView& req, bool keep_alive, ResponseWriter& writer) {
+          writer.begin(200, keep_alive, /*json_body=*/false);
+          writer.body() += strf(req.method, " ", req.path, " [", req.body, "]");
+          writer.finish();
         },
         o);
   }

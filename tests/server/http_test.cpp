@@ -2,8 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
+#include "server/http_parser.h"
+
 namespace lce::server {
 namespace {
+
+/// One-shot parse through the incremental parser: the request must be
+/// complete in `raw`. The view borrows `parser`'s buffer.
+ParseStatus parse_one(HttpParser& parser, std::string_view raw, RequestView& view) {
+  parser.feed(raw);
+  return parser.next_view(view);
+}
 
 TEST(HttpParse, BasicPostWithBody) {
   std::string raw =
@@ -13,52 +23,70 @@ TEST(HttpParse, BasicPostWithBody) {
       "Content-Length: 11\r\n"
       "\r\n"
       "{\"a\":\"b\"}!!";
-  auto req = parse_http_request(raw);
-  ASSERT_TRUE(req.has_value());
-  EXPECT_EQ(req->method, "POST");
-  EXPECT_EQ(req->path, "/invoke");
-  EXPECT_EQ(req->headers.at("content-type"), "application/json");
-  EXPECT_EQ(req->body, "{\"a\":\"b\"}!!");
+  HttpParser parser;
+  RequestView req;
+  ASSERT_EQ(parse_one(parser, raw, req), ParseStatus::kRequest);
+  EXPECT_EQ(req.method, "POST");
+  EXPECT_EQ(req.path, "/invoke");
+  ASSERT_NE(req.find_header("content-type"), nullptr);
+  EXPECT_EQ(*req.find_header("content-type"), "application/json");
+  EXPECT_EQ(req.body, "{\"a\":\"b\"}!!");
 }
 
 TEST(HttpParse, GetWithoutBody) {
-  auto req = parse_http_request("GET /health HTTP/1.1\r\nhost: x\r\n\r\n");
-  ASSERT_TRUE(req);
-  EXPECT_EQ(req->method, "GET");
-  EXPECT_TRUE(req->body.empty());
+  HttpParser parser;
+  RequestView req;
+  ASSERT_EQ(parse_one(parser, "GET /health HTTP/1.1\r\nhost: x\r\n\r\n", req),
+            ParseStatus::kRequest);
+  EXPECT_EQ(req.method, "GET");
+  EXPECT_TRUE(req.body.empty());
 }
 
 TEST(HttpParse, HeaderKeysLowercased) {
-  auto req = parse_http_request("GET / HTTP/1.1\r\nX-CuStOm: V\r\n\r\n");
-  ASSERT_TRUE(req);
-  EXPECT_EQ(req->headers.at("x-custom"), "V");
+  HttpParser parser;
+  RequestView req;
+  ASSERT_EQ(parse_one(parser, "GET / HTTP/1.1\r\nX-CuStOm: V\r\n\r\n", req),
+            ParseStatus::kRequest);
+  ASSERT_NE(req.find_header("x-custom"), nullptr);
+  EXPECT_EQ(*req.find_header("x-custom"), "V");
 }
 
 TEST(HttpParse, RejectsMalformed) {
-  EXPECT_FALSE(parse_http_request("").has_value());
-  EXPECT_FALSE(parse_http_request("GET /\r\n\r\n").has_value());          // no version
-  EXPECT_FALSE(parse_http_request("GET / SPDY/9\r\n\r\n").has_value());   // bad proto
-  EXPECT_FALSE(parse_http_request("GET / HTTP/1.1\r\nbadheader\r\n\r\n").has_value());
-  // Body shorter than Content-Length -> incomplete.
-  EXPECT_FALSE(parse_http_request(
-                   "POST / HTTP/1.1\r\ncontent-length: 10\r\n\r\nabc")
-                   .has_value());
+  for (const char* raw : {"",
+                          "GET /\r\n\r\n",         // no version
+                          "GET / SPDY/9\r\n\r\n",  // bad proto
+                          "GET / HTTP/1.1\r\nbadheader\r\n\r\n",
+                          // Body shorter than Content-Length -> incomplete.
+                          "POST / HTTP/1.1\r\ncontent-length: 10\r\n\r\nabc"}) {
+    HttpParser parser;
+    RequestView req;
+    EXPECT_NE(parse_one(parser, raw, req), ParseStatus::kRequest) << raw;
+  }
 }
 
 TEST(HttpSerialize, ResponseCarriesLengthAndStatus) {
-  HttpResponse resp{200, {{"content-type", "application/json"}}, "{\"x\":1}"};
-  std::string raw = serialize_http_response(resp);
+  std::string raw;
+  int hint = 3;
+  ResponseWriter writer(raw, hint);
+  writer.begin(200, /*keep_alive=*/false, /*json_body=*/true);
+  writer.body() += "{\"x\":1}";
+  writer.finish();
   EXPECT_NE(raw.find("HTTP/1.1 200 OK\r\n"), std::string::npos);
   EXPECT_NE(raw.find("content-length: 7\r\n"), std::string::npos);
   EXPECT_NE(raw.find("\r\n\r\n{\"x\":1}"), std::string::npos);
   EXPECT_EQ(status_text(404), "Not Found");
 }
 
+/// Renders `body` as a plain-text 200.
+void reply_text(bool keep_alive, ResponseWriter& writer, std::string_view body) {
+  writer.begin(200, keep_alive, /*json_body=*/false);
+  writer.body() += body;
+  writer.finish();
+}
+
 TEST(HttpServer, ServesOverLoopback) {
-  HttpServer server([](const HttpRequest& req) {
-    HttpResponse resp;
-    resp.body = "echo:" + req.body + " path:" + req.path;
-    return resp;
+  HttpServer server([](const RequestView& req, bool keep_alive, ResponseWriter& writer) {
+    reply_text(keep_alive, writer, strf("echo:", req.body, " path:", req.path));
   });
   std::uint16_t port = server.start();
   ASSERT_NE(port, 0);
@@ -72,10 +100,8 @@ TEST(HttpServer, ServesOverLoopback) {
 
 TEST(HttpServer, SequentialRequests) {
   int count = 0;
-  HttpServer server([&](const HttpRequest&) {
-    HttpResponse resp;
-    resp.body = std::to_string(++count);
-    return resp;
+  HttpServer server([&](const RequestView&, bool keep_alive, ResponseWriter& writer) {
+    reply_text(keep_alive, writer, std::to_string(++count));
   });
   std::uint16_t port = server.start();
   ASSERT_NE(port, 0);
@@ -88,7 +114,9 @@ TEST(HttpServer, SequentialRequests) {
 }
 
 TEST(HttpServer, StopIsIdempotentAndRestartable) {
-  HttpServer server([](const HttpRequest&) { return HttpResponse{}; });
+  HttpServer server([](const RequestView&, bool keep_alive, ResponseWriter& writer) {
+    reply_text(keep_alive, writer, "");
+  });
   ASSERT_NE(server.start(), 0);
   server.stop();
   server.stop();  // no-op

@@ -53,6 +53,16 @@ TEST(Json, RejectsMalformedDocuments) {
     EXPECT_FALSE(parse_json(doc, &err).has_value()) << doc;
     EXPECT_FALSE(err.message.empty()) << doc;
   }
+  // Integers outside int64_t are rejected as a bad number, one past each
+  // bound included; the bounds themselves parse.
+  for (const char* doc : {"9223372036854775808", "-9223372036854775809",
+                          "18446744073709551615", "100000000000000000000"}) {
+    JsonError err;
+    EXPECT_FALSE(parse_json(doc, &err).has_value()) << doc;
+    EXPECT_EQ(err.message, "bad number") << doc;
+  }
+  EXPECT_EQ(parse_json("9223372036854775807")->as_int(), INT64_MAX);
+  EXPECT_EQ(parse_json("-9223372036854775808")->as_int(), INT64_MIN);
 }
 
 TEST(Json, RefsSerializeAsPlainStrings) {

@@ -15,11 +15,14 @@
 #include "docs/render.h"
 #include "persist/journal.h"
 #include "persist/persist_test_util.h"
+#include "serve_direct.h"
 #include "server/json.h"
 #include "stack/config.h"
 
 namespace lce::server {
 namespace {
+
+using testing::serve_direct;
 
 TEST(ResourceIdShape, Heuristic) {
   EXPECT_TRUE(looks_like_resource_id("vpc-00000001"));
@@ -40,19 +43,10 @@ class ServiceTest : public ::testing::Test {
       : cloud_(docs::build_aws_catalog()), stack_(stack::build_stack(cloud_)) {}
 
   HttpResponse post(const std::string& path, const std::string& body) {
-    HttpRequest req;
-    req.method = "POST";
-    req.path = path;
-    req.body = body;
-    return handle_emulator_request(stack_, req);
+    return serve_direct(stack_, "POST", path, body);
   }
 
-  HttpResponse get(const std::string& path) {
-    HttpRequest req;
-    req.method = "GET";
-    req.path = path;
-    return handle_emulator_request(stack_, req);
-  }
+  HttpResponse get(const std::string& path) { return serve_direct(stack_, "GET", path); }
 
   cloud::ReferenceCloud cloud_;
   stack::LayerStack stack_;
@@ -75,10 +69,7 @@ TEST_F(ServiceTest, HealthEndpoint) {
 }
 
 TEST_F(ServiceTest, HealthOnRawBackendOmitsLayerChain) {
-  HttpRequest req;
-  req.method = "GET";
-  req.path = "/health";
-  auto resp = handle_emulator_request(cloud_, req);
+  auto resp = serve_direct(cloud_, "GET", "/health");
   EXPECT_EQ(resp.status, 200);
   auto body = parse_json(resp.body);
   ASSERT_TRUE(body);
@@ -102,10 +93,7 @@ TEST_F(ServiceTest, MetricsEndpointCountsInvokes) {
 }
 
 TEST_F(ServiceTest, MetricsEndpointRequiresMetricsLayer) {
-  HttpRequest req;
-  req.method = "GET";
-  req.path = "/metrics";
-  auto raw = handle_emulator_request(cloud_, req);
+  auto raw = serve_direct(cloud_, "GET", "/metrics");
   EXPECT_EQ(raw.status, 404);
   EXPECT_EQ(parse_json(raw.body)->get("Error")->get("Code")->as_str(),
             "MetricsUnavailable");
@@ -135,7 +123,9 @@ TEST_F(ServiceTest, InvokeFailureCarriesCloudErrorCode) {
 TEST_F(ServiceTest, IdStringsRetaggedAsRefs) {
   auto vpc = post("/invoke",
                   R"({"Action":"CreateVpc","Params":{"cidr_block":"10.0.0.0/16"}})");
-  auto vpc_id = parse_json(vpc.body)->get("Data")->get("id")->as_str();
+  // Owned copy: as_str() views into the parsed document, which is a
+  // temporary here.
+  std::string vpc_id(parse_json(vpc.body)->get("Data")->get("id")->as_str());
   // The id goes over the wire as a plain string; the service must re-tag
   // it so the backend's ref-typed parameter accepts it.
   auto subnet = post("/invoke",
@@ -234,10 +224,8 @@ TEST(Endpoint, ConcurrentClientsSeeConsistentState) {
 TEST_F(ServiceTest, AdminEndpointsRequirePersistence) {
   // Without a data dir there is no persist manager; the admin routes 404.
   for (const char* path : {"/admin/snapshot", "/admin/persist"}) {
-    HttpRequest req;
-    req.method = path == std::string("/admin/snapshot") ? "POST" : "GET";
-    req.path = path;
-    auto resp = handle_emulator_request(stack_, req);
+    auto resp =
+        serve_direct(stack_, path == std::string("/admin/snapshot") ? "POST" : "GET", path);
     EXPECT_EQ(resp.status, 404) << path;
     EXPECT_EQ(parse_json(resp.body)->get("Error")->get("Code")->as_str(),
               "PersistenceUnavailable")
@@ -340,11 +328,7 @@ TEST(Endpoint, ResetIsNotAckedAfterWalFailure) {
   };
   auto stack = stack::build_stack(emulator.backend(), cfg);
   auto post = [&](const std::string& path, const std::string& body) {
-    HttpRequest req;
-    req.method = "POST";
-    req.path = path;
-    req.body = body;
-    return handle_emulator_request(stack, req, raw_mgr);
+    return serve_direct(stack, "POST", path, body, raw_mgr);
   };
 
   ASSERT_EQ(post("/invoke",

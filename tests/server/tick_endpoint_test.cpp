@@ -7,6 +7,7 @@
 #include <string>
 
 #include "interp/interpreter.h"
+#include "serve_direct.h"
 #include "server/json.h"
 #include "server/service.h"
 #include "spec/parser.h"
@@ -29,12 +30,8 @@ class TickEndpointTest : public ::testing::Test {
 
   HttpResponse request(const std::string& method, const std::string& path,
                        const std::string& body, bool virtual_time) {
-    HttpRequest req;
-    req.method = method;
-    req.path = path;
-    req.body = body;
-    return handle_emulator_request(stack_, req, /*persist=*/nullptr,
-                                   /*server=*/nullptr, virtual_time);
+    return testing::serve_direct(stack_, method, path, body, /*persist=*/nullptr,
+                                 virtual_time);
   }
 
   HttpResponse tick(const std::string& body, bool virtual_time = true) {

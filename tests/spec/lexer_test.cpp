@@ -27,6 +27,14 @@ TEST(Lexer, IntegerLiterals) {
   ASSERT_EQ(toks.size(), 4u);
   EXPECT_EQ(toks[1].int_value, 42);
   EXPECT_EQ(toks[2].int_value, 123456);
+
+  toks = lex("9223372036854775807", &err);
+  ASSERT_EQ(toks.size(), 2u);
+  EXPECT_EQ(toks[0].int_value, INT64_MAX);
+  // One past INT64_MAX is a lex error, not a wrapped value.
+  toks = lex("x = 9223372036854775808", &err);
+  EXPECT_TRUE(toks.empty());
+  EXPECT_NE(err.message.find("out of range"), std::string::npos) << err.message;
 }
 
 TEST(Lexer, StringLiteralsWithEscapes) {
