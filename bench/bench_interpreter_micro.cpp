@@ -12,11 +12,14 @@
 // (polling and attribute flips, the LocalStack equilibrium) and a
 // timer-hot workload (thousands of armed `after` clauses, bulk
 // _AdvanceClock advances — every fire runs through the normal
-// transition path, so the plan-vs-tree split applies to it too).
+// transition path, so the plan-vs-tree split applies to it too), plus a
+// delete-hot workload (a guarded DeleteSubnet and its re-create, at a
+// ~30- and a ~3,000-resource store).
 // Reported: ns/op per family per mode and the speedup; the exit status
 // enforces the acceptance gates (compiled plans >= 1.5x the tree-walk
 // on the overall mix; a wheel-driven timer fire costs <= 8x the same
-// transition issued as a client modify). The gates
+// transition issued as a client modify; a delete at the large store
+// costs <= 2x one at the small store). The gates
 // self-skip under sanitizers, whose instrumentation rewrites the cost
 // model they assume; every skipped gate records its reason in the JSON
 // instead of silently omitting the row. JSON lands in FILE
@@ -34,6 +37,7 @@
 #include <new>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -435,6 +439,61 @@ std::pair<ApiRequest, ApiRequest> setup_steady_state(interp::Interpreter& be) {
                      ""}};
 }
 
+// Delete-hot gate: a guarded destroy plus its re-create may cost at most
+// this multiple at a ~3,000-resource store of what it costs at a ~30-
+// resource one. Declared before measuring. Guard, undo journal and child
+// promotion read only the destroyed resource's own children, so the ratio
+// stays near 1; a destroy that scans the whole store grows with it (two
+// orders of magnitude here).
+constexpr double kDeleteGateMaxRatio = 2.0;
+constexpr int kDeleteSmallPairs = 15;    // vpc+subnet pairs: 30 resources
+constexpr int kDeleteLargePairs = 1500;  // 3,000 resources
+
+/// A store of `pairs` vpcs with one subnet each; the returned pair
+/// (DeleteSubnet target, CreateSubnet request) recycles the last subnet.
+struct DeleteHotStore {
+  interp::Interpreter be = make_interp(true);
+  std::string subnet;
+  ApiRequest recreate;
+};
+
+void make_delete_hot(DeleteHotStore& d, int pairs) {
+  d.be.reset();
+  for (int i = 0; i < pairs; ++i) {
+    auto vpc = d.be.invoke({"CreateVpc", {{"cidr_block", Value("10.0.0.0/16")}}, ""});
+    ApiRequest sub{"CreateSubnet",
+                   {{"vpc", vpc.data.get_or("id", Value())},
+                    {"cidr_block", Value("10.0.1.0/24")},
+                    {"zone", Value("us-east")}},
+                   ""};
+    auto r = d.be.invoke(sub);
+    if (!vpc.ok || !r.ok) {
+      std::cerr << "delete-hot setup failed: " << vpc.to_text() << " " << r.to_text()
+                << "\n";
+      std::exit(1);
+    }
+    d.subnet = std::string(r.data.get("id")->as_str());
+    d.recreate = std::move(sub);
+  }
+}
+
+/// ns per (guarded DeleteSubnet + CreateSubnet) pair; the store size is
+/// the same before and after every pair.
+double measure_delete_pair(DeleteHotStore& d, int iters) {
+  auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < iters; ++i) {
+    auto del = d.be.invoke({"DeleteSubnet", {}, d.subnet});
+    auto r = d.be.invoke(d.recreate);
+    if (!del.ok || !r.ok) {
+      std::cerr << "delete-hot op failed: " << del.to_text() << " " << r.to_text()
+                << "\n";
+      std::exit(1);
+    }
+    d.subnet = std::string(r.data.get("id")->as_str());
+  }
+  return ns_since(t0) / iters;
+}
+
 struct FamilyResult {
   std::string name;
   std::size_t calls = 0;  // workload weight in the overall mix
@@ -539,6 +598,26 @@ int run_plan_vs_tree(bool quick, const std::string& json_path) {
   double client_beat_ns = measure_hot(timer_plan, client_beat, hot_iters, reps).ns;
   double fire_overhead = client_beat_ns > 0 ? timer_fire_ns / client_beat_ns : 0;
 
+  // Delete-hot: production (plan) path only, small and large stores
+  // measured in alternating reps so machine load hits both alike; not
+  // part of the overall plan-vs-tree mix.
+  const int delete_iters = quick ? 2000 : 10000;
+  DeleteHotStore del_small, del_large;
+  make_delete_hot(del_small, kDeleteSmallPairs);
+  make_delete_hot(del_large, kDeleteLargePairs);
+  const std::size_t small_resources = del_small.be.store().size();
+  const std::size_t large_resources = del_large.be.store().size();
+  measure_delete_pair(del_small, delete_iters / 10);  // warm
+  measure_delete_pair(del_large, delete_iters / 10);
+  double delete_small_ns = 0, delete_large_ns = 0;
+  for (int rep = 0; rep < reps; ++rep) {
+    double s_ns = measure_delete_pair(del_small, delete_iters);
+    double l_ns = measure_delete_pair(del_large, delete_iters);
+    if (rep == 0 || s_ns < delete_small_ns) delete_small_ns = s_ns;
+    if (rep == 0 || l_ns < delete_large_ns) delete_large_ns = l_ns;
+  }
+  double delete_ratio = delete_small_ns > 0 ? delete_large_ns / delete_small_ns : 0;
+
   double plan_total = 0, tree_total = 0;
   for (const auto& r : results) {
     plan_total += r.plan_ns * static_cast<double>(r.calls);
@@ -551,7 +630,8 @@ int run_plan_vs_tree(bool quick, const std::string& json_path) {
             << " iters) + describe/modify steady-state (" << hot_iters
             << " iters) + timer-hot (" << kArmedTimers << " armed timers, "
             << timer_iters << " bulk advances, per-fire cost), best of " << reps
-            << " runs\n\n";
+            << " runs, " << std::thread::hardware_concurrency()
+            << " hardware workers\n\n";
   TextTable table(
       {"family", "calls", "plan ns/op", "tree ns/op", "speedup", "allocs/op"});
   for (const auto& r : results) {
@@ -583,6 +663,21 @@ int run_plan_vs_tree(bool quick, const std::string& json_path) {
               << fixed(fire_overhead, 1) << "x: " << static_cast<long>(timer_fire_ns)
               << " ns/fire vs " << static_cast<long>(client_beat_ns)
               << " ns/modify)\n";
+  }
+
+  // Delete-hot gate: large-store vs small-store cost of a guarded destroy
+  // plus re-create. Self-skips under sanitizers with the other gates.
+  bool delete_ok = delete_ratio <= kDeleteGateMaxRatio;
+  std::cout << "delete-hot: " << static_cast<long>(delete_small_ns) << " ns/pair at "
+            << small_resources << " resources, " << static_cast<long>(delete_large_ns)
+            << " ns/pair at " << large_resources << " resources\n";
+  if (kSanitized) {
+    std::cout << "delete-hot gate (<=" << fixed(kDeleteGateMaxRatio, 1)
+              << "x small store): SKIPPED (sanitizer build)\n";
+  } else {
+    std::cout << "delete-hot gate (<=" << fixed(kDeleteGateMaxRatio, 1)
+              << "x small store): " << (delete_ok ? "PASS" : "FAIL") << " ("
+              << fixed(delete_ratio, 2) << "x)\n";
   }
 
   // Allocation gate: the compact-Value representation must allocate at
@@ -626,6 +721,8 @@ int run_plan_vs_tree(bool quick, const std::string& json_path) {
     root["bench"] = Value(std::string("interpreter_micro"));
     root["quick"] = Value(quick);
     root["sanitized"] = Value(kSanitized);
+    root["hardware_workers"] =
+        Value(static_cast<std::int64_t>(std::thread::hardware_concurrency()));
     Value::Map per_family;
     for (const auto& r : results) {
       Value::Map f;
@@ -665,6 +762,22 @@ int run_plan_vs_tree(bool quick, const std::string& json_path) {
     }
     timer_gate["pass"] = Value(kSanitized || timer_ok);
     root["timer_gate"] = Value(std::move(timer_gate));
+    Value::Map delete_gate;
+    delete_gate["small_store_resources"] =
+        Value(static_cast<std::int64_t>(small_resources));
+    delete_gate["large_store_resources"] =
+        Value(static_cast<std::int64_t>(large_resources));
+    delete_gate["small_ns_per_pair"] = Value(static_cast<std::int64_t>(delete_small_ns));
+    delete_gate["large_ns_per_pair"] = Value(static_cast<std::int64_t>(delete_large_ns));
+    delete_gate["ratio_x100"] =
+        Value(static_cast<std::int64_t>(delete_ratio * 100 + 0.5));
+    delete_gate["max_ratio_x100"] =
+        Value(static_cast<std::int64_t>(kDeleteGateMaxRatio * 100 + 0.5));
+    if (kSanitized) {
+      delete_gate["skipped"] = Value(std::string("sanitizer build"));
+    }
+    delete_gate["pass"] = Value(kSanitized || delete_ok);
+    root["delete_gate"] = Value(std::move(delete_gate));
     Value::Map alloc_gate;
     for (int i = 0; i < 2; ++i) {
       Value::Map g;
@@ -685,7 +798,7 @@ int run_plan_vs_tree(bool quick, const std::string& json_path) {
         Value(static_cast<std::int64_t>(kAllocGateMaxRatio * 100));
     alloc_gate["pass"] = Value(kSanitized || alloc_ok);
     root["alloc_gate"] = Value(std::move(alloc_gate));
-    root["pass"] = Value(kSanitized || (gate_ok && timer_ok && alloc_ok));
+    root["pass"] = Value(kSanitized || (gate_ok && timer_ok && alloc_ok && delete_ok));
     std::ofstream out(json_path);
     if (!out) {
       std::cerr << "cannot write " << json_path << "\n";
@@ -694,7 +807,7 @@ int run_plan_vs_tree(bool quick, const std::string& json_path) {
     out << server::to_json(Value(std::move(root))) << "\n";
     std::cout << "wrote " << json_path << "\n";
   }
-  return kSanitized || (gate_ok && timer_ok && alloc_ok) ? 0 : 1;
+  return kSanitized || (gate_ok && timer_ok && alloc_ok && delete_ok) ? 0 : 1;
 }
 
 }  // namespace

@@ -92,6 +92,12 @@ def interp_metrics(doc):
     # speedups do.
     out.append(Metric("timer_gate/fire_overhead_x10",
                       parse_ratio(tg.get("fire_overhead_x10")), "lower"))
+    dg = doc.get("delete_gate") or {}
+    # Guarded destroy + re-create at a ~3,000-resource store over the same
+    # pair at ~30 resources, one process: a within-run ratio too. Absent
+    # in older baselines -> reported as skipped.
+    out.append(Metric("delete_gate/ratio_x100",
+                      parse_ratio(dg.get("ratio_x100")), "lower"))
     return out
 
 

@@ -8,10 +8,13 @@
 //                (the target / preminted id and ref-valued arguments) —
 //                exclusively lock just those shards; unrelated resources
 //                keep flowing.
-//   kWriteAll    the footprint is dynamic (nested call(), destroy's child
-//                scan/promotion, sibling scans, derefs of non-parameter
-//                refs) — exclusively lock everything. Correct, never
-//                fast; the classifier falls back here whenever in doubt.
+//   kWriteAll    the footprint is dynamic (nested call(); destroy, whose
+//                parent's shard — where its child-index entry lives — is
+//                only known after reading self, and whose children get
+//                promoted; child_count / sibling scans; derefs of
+//                non-parameter refs) — exclusively lock everything.
+//                Correct, never fast; the classifier falls back here
+//                whenever in doubt.
 #include "interp/plan/plan.h"
 
 #include <set>
@@ -92,7 +95,10 @@ bool expr_local(const Expr& e, const ParamNames& params) {
         }
         return true;
       }
-      // child_count, sibling_cidr_conflict, unknown builtins: store scans.
+      // sibling_cidr_conflict reads sibling resources; unknown builtins
+      // may read anything. child_count(self) touches only self's shard
+      // (the child index), but specs use it only in destroy guards, which
+      // are write-all anyway, so it stays non-local too.
       return false;
     }
   }
@@ -140,7 +146,8 @@ LockPlan classify_transition(const Transition& t) {
                  t.kind == TransitionKind::kCreate ||
                  t.kind == TransitionKind::kDestroy;
   if (!mutates) return {LockMode::kReadShared, false};
-  // destroy scans children (guard + promotion); call() reaches arbitrary
+  // destroy unlinks from its parent's child list and promotes its own
+  // children (shards unknown up front); call() reaches arbitrary
   // resources; non-local bodies deref refs we cannot enumerate up front.
   // Attaches outside create need the full cycle walk over arbitrary
   // ancestor shards, so they lock everything too — only a CREATE attach

@@ -322,8 +322,8 @@ class PlanExecution {
     for (auto& [k, v] : frame.reads) data.set(*k, std::move(v));
     if (ct.kind == TransitionKind::kDestroy) {
       // Journal the full before-image plus every child whose parent link
-      // the promotion pass clears (destroy runs under kWriteAll, so the
-      // scan is safe).
+      // the promotion pass clears (destroy runs under kWriteAll, so every
+      // child's shard is held).
       for (const auto& child_id : store_.children_of(self_id)) {
         if (const Resource* child = store_.find(child_id)) {
           journal_.note_modified(*child);

@@ -17,19 +17,32 @@ void sort_by_seq(std::vector<SeqId>& v) {
             [](const SeqId& a, const SeqId& b) { return a.first < b.first; });
 }
 
+/// Where `r` sits in a child list ordered by (seq, id). Seq alone is
+/// unique in any store built through create(); the id tie-break keeps
+/// hand-restored stores ordered too.
+template <typename List>
+auto child_position(List& list, const Resource& r) {
+  return std::lower_bound(list.begin(), list.end(), r,
+                          [](const auto& c, const Resource& x) {
+                            return c.seq != x.seq ? c.seq < x.seq : c.id < x.id;
+                          });
+}
+
 }  // namespace
 
 ResourceStore::ResourceStore(std::size_t shard_count)
     : shards_(shard_count == 0 ? 1 : shard_count),
-      locks_(shard_count == 0 ? 1 : shard_count) {}
+      children_(shards_.size()),
+      locks_(shards_.size()) {}
 
 ResourceStore::ResourceStore(const ResourceStore& o)
-    : shards_(o.shards_), timers_(o.timers_), ids_(o.ids_), next_seq_(o.next_seq_),
-      locks_(o.shards_.size()) {}
+    : shards_(o.shards_), children_(o.children_), timers_(o.timers_), ids_(o.ids_),
+      next_seq_(o.next_seq_), locks_(o.shards_.size()) {}
 
 ResourceStore& ResourceStore::operator=(const ResourceStore& o) {
   if (this == &o) return *this;
   shards_ = o.shards_;
+  children_ = o.children_;
   timers_ = o.timers_;
   ids_ = o.ids_;
   next_seq_ = o.next_seq_;
@@ -46,6 +59,37 @@ std::map<std::string, Resource>& ResourceStore::shard_for(std::string_view id) {
 const std::map<std::string, Resource>& ResourceStore::shard_for(
     std::string_view id) const {
   return shards_[shard_of(id)];
+}
+
+const ResourceStore::ChildList* ResourceStore::children_list(
+    std::string_view parent_id) const {
+  const auto& index = children_[shard_of(parent_id)];
+  auto it = index.find(parent_id);
+  return it == index.end() ? nullptr : &it->second;
+}
+
+void ResourceStore::index_link(const Resource& r) {
+  if (r.parent_id.empty()) return;
+  ChildList& list = children_[shard_of(r.parent_id)][r.parent_id];
+  list.insert(child_position(list, r), Child{r.seq, r.id, r.type});
+}
+
+void ResourceStore::index_unlink(const Resource& r) {
+  if (r.parent_id.empty()) return;
+  auto& index = children_[shard_of(r.parent_id)];
+  auto it = index.find(r.parent_id);
+  if (it == index.end()) return;
+  ChildList& list = it->second;
+  auto pos = child_position(list, r);
+  if (pos != list.end() && pos->id == r.id) list.erase(pos);
+  if (list.empty()) index.erase(it);
+}
+
+void ResourceStore::relink(Resource& child, std::string_view parent_id) {
+  if (child.parent_id == parent_id) return;
+  index_unlink(child);
+  child.parent_id = std::string(parent_id);
+  index_link(child);
 }
 
 std::string ResourceStore::mint_id(std::string_view id_prefix) {
@@ -105,7 +149,7 @@ bool ResourceStore::attach(std::string_view child_id, std::string_view parent_id
   for (const Resource* p = find(parent_id); p != nullptr; p = find(p->parent_id)) {
     if (p->id == child_id) return false;
   }
-  child->parent_id = std::string(parent_id);
+  relink(*child, parent_id);
   return true;
 }
 
@@ -120,7 +164,7 @@ bool ResourceStore::attach_created(std::string_view child_id,
   // visible outside its (still exclusively held) shard cannot be anyone's
   // ancestor. Attaches of pre-existing children go through attach() with
   // every shard held.
-  child->parent_id = std::string(parent_id);
+  relink(*child, parent_id);
   return true;
 }
 
@@ -131,21 +175,29 @@ bool ResourceStore::destroy(std::string_view id) {
   auto& shard = shard_for(key);
   auto it = shard.find(key);
   if (it == shard.end()) return false;
+  index_unlink(it->second);
   shard.erase(it);
   // Promote any unreclaimed children to top level: a parent_id must always
   // name a live resource (or be empty), else children_of/siblings_of and
   // snapshot() would report links into the void.
-  for (auto& s : shards_) {
-    for (auto& [_, r] : s) {
-      if (r.parent_id == key) r.parent_id.clear();
+  auto& index = children_[shard_of(key)];
+  if (auto kids = index.find(key); kids != index.end()) {
+    for (const Child& c : kids->second) {
+      if (Resource* child = find(c.id)) child->parent_id.clear();
     }
+    index.erase(kids);
   }
   return true;
 }
 
 bool ResourceStore::erase_raw(std::string_view id) {
   std::string key(id);
-  return shard_for(key).erase(key) != 0;
+  auto& shard = shard_for(key);
+  auto it = shard.find(key);
+  if (it == shard.end()) return false;
+  index_unlink(it->second);
+  shard.erase(it);
+  return true;
 }
 
 void ResourceStore::restore(Resource r) {
@@ -153,16 +205,28 @@ void ResourceStore::restore(Resource r) {
   // were copied mid-request); the store outlives the request, so pin the
   // tree to the heap before it lands.
   r.attrs.detach();
-  std::string key = r.id;
-  shard_for(key).insert_or_assign(std::move(key), std::move(r));
+  auto& shard = shard_for(r.id);
+  auto it = shard.find(r.id);
+  if (it == shard.end()) {
+    index_link(r);
+    std::string key = r.id;
+    shard.emplace(std::move(key), std::move(r));
+    return;
+  }
+  Resource& live = it->second;
+  if (live.parent_id != r.parent_id) {
+    index_unlink(live);
+    index_link(r);
+  }
+  live = std::move(r);
 }
 
-std::vector<std::string> ResourceStore::children_of(std::string_view parent_id,
-                                                    std::string_view type) const {
+std::vector<std::string> ResourceStore::top_level_of(std::string_view type,
+                                                     std::string_view except) const {
   std::vector<SeqId> hits;
   for (const auto& shard : shards_) {
     for (const auto& [_, r] : shard) {
-      if (r.parent_id == parent_id && (type.empty() || r.type == type)) {
+      if (r.parent_id.empty() && (type.empty() || r.type == type) && r.id != except) {
         hits.emplace_back(r.seq, &r);
       }
     }
@@ -174,33 +238,38 @@ std::vector<std::string> ResourceStore::children_of(std::string_view parent_id,
   return out;
 }
 
-std::size_t ResourceStore::child_count(std::string_view parent_id,
-                                       std::string_view type) const {
-  std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    for (const auto& [_, r] : shard) {
-      if (r.parent_id == parent_id && (type.empty() || r.type == type)) ++n;
+std::vector<std::string> ResourceStore::children_of(std::string_view parent_id,
+                                                    std::string_view type) const {
+  if (parent_id.empty()) return top_level_of(type);
+  std::vector<std::string> out;
+  if (const ChildList* list = children_list(parent_id)) {
+    for (const Child& c : *list) {
+      if (type.empty() || c.type == type) out.push_back(c.id);
     }
   }
-  return n;
+  return out;
+}
+
+std::size_t ResourceStore::child_count(std::string_view parent_id,
+                                       std::string_view type) const {
+  if (parent_id.empty()) return top_level_of(type).size();
+  const ChildList* list = children_list(parent_id);
+  if (list == nullptr) return 0;
+  if (type.empty()) return list->size();
+  return static_cast<std::size_t>(std::count_if(
+      list->begin(), list->end(), [&](const Child& c) { return c.type == type; }));
 }
 
 std::vector<std::string> ResourceStore::siblings_of(std::string_view id) const {
   const Resource* self = find(id);
   if (self == nullptr) return {};
-  std::vector<SeqId> hits;
-  for (const auto& shard : shards_) {
-    for (const auto& [_, r] : shard) {
-      if (r.id == id) continue;
-      if (r.type == self->type && r.parent_id == self->parent_id) {
-        hits.emplace_back(r.seq, &r);
-      }
+  if (self->parent_id.empty()) return top_level_of(self->type, self->id);
+  std::vector<std::string> out;
+  if (const ChildList* list = children_list(self->parent_id)) {
+    for (const Child& c : *list) {
+      if (c.type == self->type && c.id != self->id) out.push_back(c.id);
     }
   }
-  sort_by_seq(hits);
-  std::vector<std::string> out;
-  out.reserve(hits.size());
-  for (const auto& [_, r] : hits) out.push_back(r->id);
   return out;
 }
 
@@ -226,6 +295,7 @@ std::size_t ResourceStore::size() const {
 
 void ResourceStore::clear() {
   for (auto& shard : shards_) shard.clear();
+  for (auto& index : children_) index.clear();
   timers_.clear();
   std::lock_guard<std::mutex> lock(mint_mu_);
   ids_.reset();

@@ -23,6 +23,20 @@
 // sharded layout is semantics-preserving. Id minting and the creation-
 // order sequence counter ARE internally synchronized (mint_mu_), so id
 // sequences stay deterministic no matter how transitions interleave.
+//
+// Child index: every resource with a non-empty parent_id has one entry
+// (seq, id, type) in its parent's seq-ordered child list, and nothing
+// else is indexed. The list lives in the PARENT's shard and is written
+// only while that shard is held exclusively — attach_created() holds it,
+// attach()/destroy() run write-all, erase_raw() undoes a create-attach
+// under the same locks, and restore() touches the index only when it
+// reinstates a resource or changes its link. So child_count(self[, type])
+// and children_of(self) read self's shard alone, siblings_of(id) reads
+// the parent's, and destroy's promotion costs O(children). Top-level
+// resources are not indexed (every create would write one shared list);
+// the "" parent queries still scan. The index is derived state: it never
+// reaches snapshot(), the persist codec or canonical dumps, and copy,
+// assignment, clone() and clear() carry it along.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +58,10 @@ namespace lce::interp {
 struct Resource {
   std::string id;
   std::string type;       // resource type name, e.g. "Vpc"
-  std::string parent_id;  // containment parent ("" = top-level)
+  // Containment parent ("" = top-level). Only ResourceStore writes it
+  // (attach, attach_created, destroy's promotion, restore): the child
+  // index mirrors it, so a direct write through find() would desync them.
+  std::string parent_id;
   // Attribute map in Value's compact interned-key representation: the
   // compiled-plan executor reads and writes state vars by KeyId, so the
   // former per-resource slot-pointer cache is gone — the map IS the fast
@@ -110,18 +127,26 @@ class ResourceStore {
   /// children (transaction journal only).
   bool erase_raw(std::string_view id);
   /// Reinstate a resource exactly as captured (id, links, attrs, seq) —
-  /// rollback of a destroy or of attribute writes (transaction journal).
+  /// rollback of a destroy or of attribute writes (transaction journal),
+  /// and snapshot load. Any order is fine: a child may be restored before
+  /// its parent. A live id must come back with its own seq and type (a
+  /// before-image does); when its link is unchanged too, the child index
+  /// is left alone, so a write-local rollback needs only its own shard.
   void restore(Resource r);
 
-  /// Ids of live children of `parent_id`, optionally filtered by type.
+  /// Ids of live children of `parent_id` in creation order, optionally
+  /// filtered by type. O(children) for a non-empty parent (reads only
+  /// its shard); "" scans every top-level resource.
   std::vector<std::string> children_of(std::string_view parent_id,
                                        std::string_view type = "") const;
 
-  /// Live children count.
+  /// Live children count; same cost and shard as children_of.
   std::size_t child_count(std::string_view parent_id, std::string_view type = "") const;
 
   /// Live resources of `type` sharing a containment parent with `id`
-  /// (excluding `id` itself). Top-level resources are each other's siblings.
+  /// (excluding `id` itself), in creation order. Top-level resources are
+  /// each other's siblings (a scan); a contained resource reads its
+  /// parent's child list.
   std::vector<std::string> siblings_of(std::string_view id) const;
 
   /// All live resources of `type` in creation order.
@@ -181,10 +206,31 @@ class ResourceStore {
   StripedRwLock& locks() const { return locks_; }
 
  private:
+  /// One child-index entry; a ChildList is ordered by (seq, id).
+  struct Child {
+    std::uint64_t seq;
+    std::string id;
+    std::string type;
+  };
+  using ChildList = std::vector<Child>;
+  /// Per-shard parent id -> children, keyed by the PARENT's shard.
+  using ChildIndex = std::map<std::string, ChildList, std::less<>>;
+
   std::map<std::string, Resource>& shard_for(std::string_view id);
   const std::map<std::string, Resource>& shard_for(std::string_view id) const;
 
+  const ChildList* children_list(std::string_view parent_id) const;
+  void index_link(const Resource& r);
+  void index_unlink(const Resource& r);
+  /// Point `child` at `parent_id` and move its index entry along.
+  void relink(Resource& child, std::string_view parent_id);
+  /// Top-level ("" parent) scan: ids of `type` (any when empty) in
+  /// creation order, skipping `except`.
+  std::vector<std::string> top_level_of(std::string_view type,
+                                        std::string_view except = {}) const;
+
   std::vector<std::map<std::string, Resource>> shards_;
+  std::vector<ChildIndex> children_;  // parallel to shards_
   vtime::TimerService timers_;  // internally synchronized
   IdGenerator ids_;           // guarded by mint_mu_
   std::uint64_t next_seq_ = 1;  // guarded by mint_mu_

@@ -4,6 +4,8 @@
 // the outside — byte-identical responses, canonical store dumps, and
 // alignment reports — over every scenario corpus, under seeded fuzzing,
 // on noise-degraded specs, and after alignment repairs rebuild the plan.
+// Every invoke on either path is also followed by a check that the
+// store's child index still equals the full-store scan.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,6 +14,7 @@
 
 #include "align/engine.h"
 #include "align/fuzz.h"
+#include "child_index_check.h"
 #include "cloud/reference_cloud.h"
 #include "core/emulator.h"
 #include "core/scenarios.h"
@@ -41,15 +44,44 @@ docs::DocCorpus defective_aws() {
   return docs::render_corpus(defective);
 }
 
+/// Forwards to an interpreter and, after every invoke, requires its
+/// store's child index to equal the full-store scan (first miss only, so
+/// a broken index does not flood the log).
+class IndexChecked : public CloudBackend {
+ public:
+  explicit IndexChecked(interp::Interpreter& it) : it_(it) {}
+  std::string name() const override { return it_.name(); }
+  bool supports(const std::string& api) const override { return it_.supports(api); }
+  Value snapshot() const override { return it_.snapshot(); }
+  void reset() override { it_.reset(); }
+  ApiResponse invoke(const ApiRequest& req) override {
+    ApiResponse resp = it_.invoke(req);
+    if (!failed_) {
+      std::string diff = interp::testing::child_index_mismatch(it_.store());
+      if (!diff.empty()) {
+        failed_ = true;
+        ADD_FAILURE() << "child index diverged after " << req.api << ": " << diff;
+      }
+    }
+    return resp;
+  }
+
+ private:
+  interp::Interpreter& it_;
+  bool failed_ = false;
+};
+
 // Run every suite trace on both interpreters and require byte-identical
 // responses and (after each trace) byte-identical persist dumps — the
 // strongest externally observable statement that the plan path left the
 // Value::Map source of truth untouched.
 void expect_traces_identical(interp::Interpreter& with_plan, interp::Interpreter& tree,
                              const core::ScenarioSuite& suite) {
+  IndexChecked checked_plan(with_plan);
+  IndexChecked checked_tree(tree);
   for (const auto& entry : suite.entries) {
-    auto a = run_trace(with_plan, entry.trace);
-    auto b = run_trace(tree, entry.trace);
+    auto a = run_trace(checked_plan, entry.trace);
+    auto b = run_trace(checked_tree, entry.trace);
     ASSERT_EQ(a.size(), b.size()) << entry.trace.label;
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].to_text(), b[i].to_text())
@@ -88,8 +120,10 @@ TEST(PlanEquivalence, SeededFuzzFindsNoDivergence) {
   align::FuzzOptions opts;
   opts.seed = 7;
   opts.max_calls = 6000;
+  IndexChecked checked_plan(with_plan.backend());
+  IndexChecked checked_tree(tree.backend());
   align::FuzzReport report =
-      align::run_fuzz(with_plan.backend(), tree.backend(), tree.backend().spec(), opts);
+      align::run_fuzz(checked_plan, checked_tree, tree.backend().spec(), opts);
   EXPECT_EQ(report.calls_executed, opts.max_calls);
   for (const auto& d : report.discoveries) {
     ADD_FAILURE() << "plan diverged from tree-walk: " << d.first
@@ -113,8 +147,10 @@ TEST(PlanEquivalence, NoiseDegradedSpecsStayEquivalent) {
   align::FuzzOptions opts;
   opts.seed = 13;
   opts.max_calls = 5000;
+  IndexChecked checked_plan(with_plan.backend());
+  IndexChecked checked_tree(tree.backend());
   align::FuzzReport report =
-      align::run_fuzz(with_plan.backend(), tree.backend(), tree.backend().spec(), opts);
+      align::run_fuzz(checked_plan, checked_tree, tree.backend().spec(), opts);
   for (const auto& d : report.discoveries) {
     ADD_FAILURE() << "plan diverged on noisy spec: " << d.first
                   << " at call " << d.second;
@@ -142,8 +178,10 @@ TEST(PlanEquivalence, PostRepairSpecsStayEquivalent) {
   align::FuzzOptions fopts;
   fopts.seed = 11;
   fopts.max_calls = 4000;
-  align::FuzzReport fuzz = align::run_fuzz(with_plan.backend(), tree.backend(),
-                                           tree.backend().spec(), fopts);
+  IndexChecked checked_plan(with_plan.backend());
+  IndexChecked checked_tree(tree.backend());
+  align::FuzzReport fuzz =
+      align::run_fuzz(checked_plan, checked_tree, tree.backend().spec(), fopts);
   for (const auto& d : fuzz.discoveries) {
     ADD_FAILURE() << "repaired plan diverged: " << d.first << " at call " << d.second;
   }

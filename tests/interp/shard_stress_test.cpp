@@ -10,11 +10,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "child_index_check.h"
 #include "common/errors.h"
 #include "common/rng.h"
 #include "interp/interpreter.h"
@@ -30,6 +32,9 @@ constexpr const char* kForestSpec = R"(
       create CreateVpc() { }
       modify RenameVpc(new_name: str) { write(name, new_name); }
       describe DescribeVpc() { }
+      describe CheckVpcChildren() {
+        assert(child_count(Subnet) >= 0) else InvalidParameterValue;
+      }
       destroy DeleteVpc() { }
     }
   }
@@ -73,8 +78,9 @@ class IdPool {
   std::vector<std::string> ids_;
 };
 
-/// Post-join forest invariants: no subnet points at a vanished vpc, and
-/// every parent's children_of list round-trips with the child's link.
+/// Post-join forest invariants: no subnet points at a vanished vpc,
+/// every parent's children_of list round-trips with the child's link, and
+/// every child-index answer equals the full-store scan.
 void check_forest(const Interpreter& it) {
   const auto& store = it.store();
   for (const auto& sid : store.all_of_type("Subnet")) {
@@ -86,12 +92,48 @@ void check_forest(const Interpreter& it) {
     auto children = store.children_of(parent->id, "Subnet");
     EXPECT_NE(std::find(children.begin(), children.end(), sid), children.end());
   }
+  EXPECT_EQ(testing::child_index_mismatch(store), "");
 }
 
-void hammer(Interpreter& it, int threads, int iters, bool allow_orphaning) {
+/// Child-index readers racing the writers. Direct readers hold only the
+/// vpc's own shard shared — the index keeps a parent's children in its
+/// shard, so that is all child_count/children_of may touch; interpreter
+/// readers run child_count inside a read-shared describe.
+void read_children(Interpreter& it, IdPool& vpcs, const std::atomic<bool>& stop,
+                   std::uint64_t seed) {
+  Rng rng(seed);
+  const auto& store = it.store();
+  while (!stop.load()) {
+    std::string vpc = vpcs.pick(rng);
+    if (vpc.empty()) {
+      std::this_thread::yield();
+      continue;
+    }
+    if (rng.chance(0.5)) {
+      auto guard = store.locks().lock_shared_one(store.shard_of(vpc));
+      std::size_t n = store.child_count(vpc);
+      auto subnets = store.children_of(vpc, "Subnet");
+      ASSERT_EQ(subnets.size(), n) << vpc;  // one consistent view per lock
+      for (const auto& sid : subnets) ASSERT_EQ(sid.rfind("subnet-", 0), 0u) << sid;
+    } else {
+      auto r = it.invoke({"CheckVpcChildren", {}, vpc});
+      ASSERT_TRUE(r.ok || r.code == errc::kResourceNotFound) << r.to_text();
+    }
+  }
+}
+
+void hammer(Interpreter& it, int threads, int iters, bool allow_orphaning,
+            int readers = 0) {
   IdPool vpcs;
   IdPool subnets;
   std::atomic<int> created{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> reader_threads;
+  for (int t = 0; t < readers; ++t) {
+    reader_threads.emplace_back(read_children, std::ref(it), std::ref(vpcs),
+                                std::cref(stop),
+                                0xC0FFEEu + static_cast<std::uint64_t>(t));
+  }
 
   std::vector<std::thread> workers;
   for (int t = 0; t < threads; ++t) {
@@ -159,6 +201,8 @@ void hammer(Interpreter& it, int threads, int iters, bool allow_orphaning) {
     });
   }
   for (auto& w : workers) w.join();
+  stop.store(true);
+  for (auto& r : reader_threads) r.join();
 
   EXPECT_GT(created.load(), 0);
   check_forest(it);
@@ -174,6 +218,16 @@ TEST(ShardStress, UnguardedDestroyPromotesChildrenWithoutDangling) {
   // store must promote to top level mid-hammer (the destroy-orphan path).
   auto it = make_forest_interp(/*hierarchy_guards=*/false);
   hammer(it, /*threads=*/8, /*iters=*/300, /*allow_orphaning=*/true);
+}
+
+TEST(ShardStress, ChildIndexReadersRaceCreateAttachAndDestroy) {
+  // Readers hammer child_count/children_of while writers create-attach
+  // (parent shard held), destroy (write-all) and promote children.
+  for (bool guards : {true, false}) {
+    auto it = make_forest_interp(guards);
+    hammer(it, /*threads=*/6, /*iters=*/300, /*allow_orphaning=*/!guards,
+           /*readers=*/3);
+  }
 }
 
 TEST(ShardStress, ConcurrentHammerMatchesSerialInvariantsNotCounts) {
