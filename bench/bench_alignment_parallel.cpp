@@ -1,13 +1,14 @@
-// Serial-vs-parallel speedup curve for the alignment loop's differential
-// pass (the pipeline's dominant cost). For each worker count the bench
-// runs a detection-only alignment round over the full AWS symbolic-trace
-// corpus on a defective-docs emulator, reports wall clock / throughput /
-// speedup, and cross-checks the determinism contract: every worker count
-// must produce a report byte-identical to the serial engine's.
+// Serial-vs-parallel speedup curve for the alignment loop's two parallel
+// stages, trace generation and the differential pass. For each worker
+// count the bench runs a detection-only alignment round over the full AWS
+// symbolic-trace corpus on a defective-docs emulator, reports the pass's
+// wall clock / throughput / speedup beside the whole round's (generation
+// + pass, from RoundStats' stage clocks), and cross-checks the determinism
+// contract: every worker count must produce a report byte-identical to
+// the serial engine's.
 //
-// Exit status reflects ONLY the determinism check (a single-core host
-// cannot show wall-clock speedup, but must still produce identical
-// reports).
+// Exit status reflects ONLY the determinism check: the speedups it prints
+// are what this host measured, and they vary widely between machines.
 #include <iostream>
 #include <vector>
 
@@ -42,6 +43,12 @@ double pass_wall_ms(const align::AlignmentReport& r) {
   return ms;
 }
 
+double round_wall_ms(const align::AlignmentReport& r) {
+  double ms = 0;
+  for (const auto& round : r.rounds) ms += round.tracegen_ms + round.diff_wall_ms;
+  return ms;
+}
+
 }  // namespace
 
 int main() {
@@ -62,19 +69,30 @@ int main() {
 
   align::AlignmentReport serial = run_once(corpus, 1, /*repair=*/false);
   double serial_ms = pass_wall_ms(serial);
+  double serial_round_ms = round_wall_ms(serial);
   std::string serial_canon = align::canonical_text(serial);
 
+  auto ratio = [](double base, double ms) { return ms > 0 ? base / ms : 0.0; };
   bool all_identical = true;
-  TextTable table({"workers", "wall ms", "traces/s", "speedup", "report"});
+  std::string measured;
+  TextTable table({"workers", "pass ms", "traces/s", "pass speedup", "round ms",
+                   "round speedup", "report"});
   for (int w : counts) {
     align::AlignmentReport r = w == 1 ? serial : run_once(corpus, w, /*repair=*/false);
     double ms = pass_wall_ms(r);
+    double round_ms = round_wall_ms(r);
     bool same = align::canonical_text(r) == serial_canon;
     all_identical = all_identical && same;
     double tps = ms > 0 ? static_cast<double>(r.rounds[0].traces) * 1000.0 / ms : 0;
     table.add_row({std::to_string(r.rounds[0].workers), fixed(ms, 1), fixed(tps, 0),
-                   strf(fixed(ms > 0 ? serial_ms / ms : 0, 2), "x"),
+                   strf(fixed(ratio(serial_ms, ms), 2), "x"), fixed(round_ms, 1),
+                   strf(fixed(ratio(serial_round_ms, round_ms), 2), "x"),
                    same ? "identical" : "DIVERGED"});
+    if (w > 1) {
+      measured += strf(measured.empty() ? "" : "; ", r.rounds[0].workers, " workers ",
+                       fixed(ratio(serial_ms, ms), 2), "x pass / ",
+                       fixed(ratio(serial_round_ms, round_ms), 2), "x round");
+    }
   }
   std::cout << table.render();
 
@@ -90,9 +108,8 @@ int main() {
             << full_serial.repairs.size() << " repairs, converged="
             << (full_serial.converged ? "yes" : "no") << ")\n";
 
-  std::cout << "\nShape check (paper): the differential pass dominates "
-               "alignment cost and shards linearly across cores; on a "
-               "multi-core host 4 workers give >= 2x. The report is "
-               "byte-identical at every worker count.\n";
+  std::cout << "\nMeasured on this host (" << hw << " hardware threads): " << measured
+            << ". Speedups are not gated: they vary widely between machines. "
+               "The report is byte-identical at every worker count.\n";
   return all_identical ? 0 : 1;
 }

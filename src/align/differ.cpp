@@ -105,10 +105,9 @@ std::optional<Trace> remove_call(const Trace& t, std::size_t victim) {
 
 }  // namespace
 
-std::optional<Discrepancy> diff_trace(CloudBackend& cloud, CloudBackend& emulator,
-                                      const GenTrace& gen) {
-  auto cloud_resp = run_trace(cloud, gen.trace);
-  auto emu_resp = run_trace(emulator, gen.trace);
+std::optional<Discrepancy> first_divergence(const GenTrace& gen,
+                                            const std::vector<ApiResponse>& cloud_resp,
+                                            const std::vector<ApiResponse>& emu_resp) {
   for (std::size_t i = 0; i < gen.trace.calls.size(); ++i) {
     if (cloud_resp[i].aligned_with(emu_resp[i])) continue;
     Discrepancy d;
@@ -121,6 +120,13 @@ std::optional<Discrepancy> diff_trace(CloudBackend& cloud, CloudBackend& emulato
     return d;
   }
   return std::nullopt;
+}
+
+std::optional<Discrepancy> diff_trace(CloudBackend& cloud, CloudBackend& emulator,
+                                      const GenTrace& gen) {
+  auto cloud_resp = run_trace(cloud, gen.trace);
+  auto emu_resp = run_trace(emulator, gen.trace);
+  return first_divergence(gen, cloud_resp, emu_resp);
 }
 
 Discrepancy shrink(CloudBackend& cloud, CloudBackend& emulator, Discrepancy d) {

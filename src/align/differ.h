@@ -34,6 +34,13 @@ struct Discrepancy {
   std::string to_text() const;
 };
 
+/// The first call of `gen.trace` whose cloud and emulator replies are
+/// misaligned, as a Discrepancy (nullopt when every call is aligned).
+/// Both reply vectors hold one response per call, as run_trace returns.
+std::optional<Discrepancy> first_divergence(const GenTrace& gen,
+                                            const std::vector<ApiResponse>& cloud,
+                                            const std::vector<ApiResponse>& emulator);
+
 /// Run `trace` on both backends; the first misaligned call becomes a
 /// Discrepancy (nullopt when fully aligned).
 std::optional<Discrepancy> diff_trace(CloudBackend& cloud, CloudBackend& emulator,

@@ -38,14 +38,28 @@ AlignmentEngine::AlignmentEngine(interp::Interpreter& emulator, CloudBackend& cl
                                  AlignmentOptions opts)
     : emu_(emulator), cloud_(cloud), opts_(opts) {}
 
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double ms_since(Clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+}
+
+}  // namespace
+
 AlignmentReport AlignmentEngine::run() {
   AlignmentReport report;
 
   for (int round = 0; round < opts_.max_rounds; ++round) {
     RoundStats stats;
-    // Regenerate from the CURRENT (possibly already repaired) spec.
+    // Regenerate from the CURRENT (possibly already repaired) spec, on the
+    // same worker count as the differential pass (the corpus is identical
+    // for every count).
+    auto t_gen = Clock::now();
     TraceGenerator gen(emu_.spec());
-    std::vector<GenTrace> traces = gen.generate_all();
+    std::vector<GenTrace> traces = gen.generate_all(opts_.workers);
+    stats.tracegen_ms = ms_since(t_gen);
     stats.traces = traces.size();
     for (const auto& g : traces) stats.api_calls += g.trace.calls.size();
 
@@ -55,11 +69,9 @@ AlignmentReport AlignmentEngine::run() {
     // below — discrepancy order and evidence content — is identical to a
     // serial run regardless of worker count.
     ParallelExecutor executor(cloud_, emu_, opts_.workers, opts_.collect_metrics);
-    auto t0 = std::chrono::steady_clock::now();
+    auto t_diff = Clock::now();
     std::vector<TraceOutcome> outcomes = executor.execute(traces);
-    stats.diff_wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
+    stats.diff_wall_ms = ms_since(t_diff);
     stats.workers = executor.effective_workers();
     stats.metrics = executor.metrics();
     stats.traces_per_sec = stats.diff_wall_ms > 0
@@ -154,8 +166,10 @@ AlignmentReport AlignmentEngine::run() {
                 d.cloud.code;
           }
         }
+        auto t_repair = Clock::now();
         auto action = repairer.repair_state_check(d.cls.machine, d.cls.transition,
                                                   evidence_attr[key], enriched);
+        stats.repair_ms += ms_since(t_repair);
         state_checked[key] = true;
         if (action) {
           report.log.push_back("  repair: " + action->to_text());
@@ -167,15 +181,22 @@ AlignmentReport AlignmentEngine::run() {
 
     // Then: per-discrepancy repairs, re-verified against the evolving spec.
     for (auto& d : found) {
+      auto t_shrink = Clock::now();
       GenTrace probe;
       probe.trace = d.trace;
       probe.cls = d.cls;
       auto still = diff_trace(cloud_, emu_, probe);
-      if (!still) continue;  // an earlier repair already fixed it
+      if (!still) {  // an earlier repair already fixed it
+        stats.shrink_ms += ms_since(t_shrink);
+        continue;
+      }
       Discrepancy current = std::move(*still);
       current.cls = d.cls;
       if (opts_.shrink) current = shrink(cloud_, emu_, std::move(current));
+      stats.shrink_ms += ms_since(t_shrink);
+      auto t_repair = Clock::now();
       auto action = repairer.repair(current);
+      stats.repair_ms += ms_since(t_repair);
       if (action) {
         report.log.push_back("  repair: " + action->to_text());
         report.repairs.push_back(std::move(*action));

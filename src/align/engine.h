@@ -25,9 +25,10 @@ struct AlignmentOptions {
   int max_rounds = 6;
   bool shrink = true;
   bool repair = true;  // false = detection-only (measurement mode)
-  /// Differential-pass parallelism: 0 = auto (hardware concurrency),
-  /// 1 = serial, N = N worker threads over cloned backend pairs. The
-  /// resulting report is byte-identical for every value (see parallel.h).
+  /// Parallelism of trace generation and of the differential pass:
+  /// 0 = auto (hardware concurrency), 1 = serial, N = N worker threads
+  /// (the pass replays over cloned backend pairs). The resulting report is
+  /// byte-identical for every value (see parallel.h and trace_gen.h).
   int workers = 0;
   /// Wrap every differential worker's backend pair in a
   /// stack::MetricsLayer and store the aggregated per-API counters in
@@ -41,9 +42,12 @@ struct RoundStats {
   std::size_t api_calls = 0;       // per backend
   std::size_t discrepancies = 0;
   std::size_t repairs = 0;
-  // Differential-pass performance counters (excluded from the determinism
-  // contract: canonical_text() never includes them).
+  // Stage clocks and differential-pass performance counters (excluded
+  // from the determinism contract: canonical_text() never includes them).
+  double tracegen_ms = 0;          // wall clock of trace generation
   double diff_wall_ms = 0;         // wall clock of the differential pass
+  double shrink_ms = 0;            // re-verifying and shrinking discrepancies
+  double repair_ms = 0;            // inferring and applying repairs
   double traces_per_sec = 0;       // throughput of the differential pass
   int workers = 1;                 // parallelism the pass actually used
   // Aggregated per-API MetricsLayer counters for the pass, null unless

@@ -12,23 +12,25 @@ namespace lce::align {
 namespace {
 
 /// One trace's full differential replay against a (cloud, emulator) pair.
-/// Pure function of the pair's behaviour: both run_trace and diff_trace
-/// reset the backend before replaying, so outcomes do not depend on which
-/// worker (or which clone) executes them.
+/// Pure function of the pair's behaviour: run_trace resets the backend
+/// before replaying, so outcomes do not depend on which worker (or which
+/// clone) executes them. The cloud replays once; its replies yield both
+/// the divergence and the probe outcome.
 TraceOutcome replay_one(CloudBackend& cloud, CloudBackend& emulator,
                         const GenTrace& g) {
+  std::vector<ApiResponse> cloud_resp = run_trace(cloud, g.trace);
+  std::vector<ApiResponse> emu_resp = run_trace(emulator, g.trace);
   TraceOutcome out;
-  out.discrepancy = diff_trace(cloud, emulator, g);
+  out.discrepancy = first_divergence(g, cloud_resp, emu_resp);
   // Sweep and happy-path probes additionally contribute the cloud's
   // outcome to the engine's enum-precondition evidence.
   bool wants_outcome =
       (g.cls.kind == ClassKind::kStateSweep || g.cls.kind == ClassKind::kHappyPath) &&
       g.probe_call < g.trace.calls.size();
   if (wants_outcome) {
-    std::vector<ApiResponse> cloud_resp = run_trace(cloud, g.trace);
+    const ApiResponse& probe = cloud_resp[g.probe_call];
     out.have_probe_outcome = true;
-    out.probe_outcome =
-        cloud_resp[g.probe_call].ok ? "" : cloud_resp[g.probe_call].code;
+    out.probe_outcome = probe.ok ? "" : probe.code;
   }
   return out;
 }

@@ -1,6 +1,8 @@
 #include "align/trace_gen.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <functional>
 #include <map>
 #include <optional>
@@ -8,6 +10,7 @@
 
 #include "common/cidr.h"
 #include "common/strings.h"
+#include "common/thread_pool.h"
 #include "interp/timers.h"
 
 namespace lce::align {
@@ -217,7 +220,8 @@ std::vector<const spec::Stmt*> collect_asserts(const spec::Body& body) {
 /// planned (predicted) attribute values, driver calls, and the probe.
 class Builder {
  public:
-  explicit Builder(const spec::SpecSet& spec) : spec_(spec) {}
+  Builder(const spec::SpecSet& spec, const SpecIndex& index)
+      : spec_(spec), index_(index) {}
 
   Trace& trace() { return trace_; }
   std::string fail_reason;
@@ -244,7 +248,7 @@ class Builder {
       fail_reason = "create recursion too deep for " + machine;
       return std::nullopt;
     }
-    const StateMachine* m = spec_.find_machine(machine);
+    const StateMachine* m = index_.machine(machine);
     if (m == nullptr) {
       fail_reason = "unknown machine " + machine;
       return std::nullopt;
@@ -301,7 +305,7 @@ class Builder {
     Value current = p->attrs.count(attr) != 0 ? p->attrs.at(attr) : Value();
     if (pred(current)) return true;
     if (depth > 2) return false;
-    const StateMachine* m = spec_.find_machine(machine);
+    const StateMachine* m = index_.machine(machine);
     if (m == nullptr) return false;
 
     // Family 1: a transition on self writing a constant that satisfies
@@ -335,41 +339,38 @@ class Builder {
 
     // Family 3 (ref attrs): another machine's transition that call()s into
     // us and writes `attr` (e.g. AssociateAddress driving nic.public_ip).
-    for (const auto& other : spec_.machines) {
-      if (other.name == machine) continue;
-      for (const auto& t : other.transitions) {
-        if (is_internal_transition(t.name)) continue;
-        if (!transition_backrefs_attr(other, t, machine, attr)) continue;
-        // Create the other instance and call the transition with its ref
-        // param bound to self.
-        Value::Map overrides;
-        // Match attrs the transition requires to equal ours (zone checks).
-        for (const spec::Stmt* a : collect_asserts(t.body)) {
-          AssertInfo info = analyze_assert(*a);
-          if (info.shape == Shape::kRefAttrMatch) {
-            const Planned* self_p = planned(self_idx);
-            if (self_p != nullptr && self_p->attrs.count(info.attr) != 0) {
-              overrides[info.attr] = self_p->attrs.at(info.attr);
-            }
-          }
-        }
-        auto other_idx = create_instance(other.name, overrides, depth + 1);
-        if (!other_idx) continue;
-        // Find the ref param of our type.
-        std::string ref_param;
-        for (const auto& pp : t.params) {
-          if (pp.type.kind == spec::TypeKind::kRef && pp.type.ref_type == machine) {
-            ref_param = pp.name;
-          }
-        }
-        if (ref_param.empty()) continue;
-        Value::Map forced{{ref_param, Value(strf("$", self_idx, ".id"))}};
-        if (call_on(*spec_.find_machine(other.name), t, other_idx, forced)) {
-          // Predict the back-reference write on self.
-          plan_set(self_idx, attr, Value(strf("$", *other_idx, ".id")));
+    for (const SpecIndex::Backref& br : index_.backrefs(machine, attr)) {
+      const StateMachine& other = *br.owner;
+      const Transition& t = *br.transition;
+      // Create the other instance and call the transition with its ref
+      // param bound to self.
+      Value::Map overrides;
+      // Match attrs the transition requires to equal ours (zone checks).
+      for (const spec::Stmt* a : collect_asserts(t.body)) {
+        AssertInfo info = analyze_assert(*a);
+        if (info.shape == Shape::kRefAttrMatch) {
           const Planned* self_p = planned(self_idx);
-          if (self_p != nullptr && pred(self_p->attrs.at(attr))) return true;
+          if (self_p != nullptr && self_p->attrs.count(info.attr) != 0) {
+            overrides[info.attr] = self_p->attrs.at(info.attr);
+          }
         }
+      }
+      auto other_idx = create_instance(other.name, overrides, depth + 1);
+      if (!other_idx) continue;
+      // Find the ref param of our type.
+      std::string ref_param;
+      for (const auto& pp : t.params) {
+        if (pp.type.kind == spec::TypeKind::kRef && pp.type.ref_type == machine) {
+          ref_param = pp.name;
+        }
+      }
+      if (ref_param.empty()) continue;
+      Value::Map forced{{ref_param, Value(strf("$", self_idx, ".id"))}};
+      if (call_on(*index_.machine(other.name), t, other_idx, forced)) {
+        // Predict the back-reference write on self.
+        plan_set(self_idx, attr, Value(strf("$", *other_idx, ".id")));
+        const Planned* self_p = planned(self_idx);
+        if (self_p != nullptr && pred(self_p->attrs.at(attr))) return true;
       }
     }
     return false;
@@ -451,7 +452,7 @@ class Builder {
  private:
   bool create_child_instance(const std::string& child, std::size_t parent_idx) {
     // Create with the parent ref forced to self.
-    const StateMachine* m = spec_.find_machine(child);
+    const StateMachine* m = index_.machine(child);
     if (m == nullptr) return false;
     const Transition* create = nullptr;
     for (const auto& t : m->transitions) {
@@ -660,35 +661,9 @@ class Builder {
     return Value(strf("10.", (n % 200) + 1, ".0.0/", std::clamp(16, lo, hi)));
   }
 
-  bool transition_backrefs_attr(const StateMachine& owner, const Transition& t,
-                                const std::string& target_machine,
-                                const std::string& attr) const {
-    // Does t contain (possibly inside an if) a call whose callee on
-    // `target_machine` writes `attr`?
-    const StateMachine* target = spec_.find_machine(target_machine);
-    if (target == nullptr) return false;
-    (void)owner;
-    std::function<bool(const spec::Body&)> scan = [&](const spec::Body& body) {
-      for (const auto& s : body) {
-        if (s->kind == StmtKind::kCall) {
-          const Transition* callee = target->find_transition(s->callee);
-          if (callee != nullptr) {
-            for (const auto& cs : callee->body) {
-              if (cs->kind == StmtKind::kWrite && cs->var == attr) return true;
-            }
-          }
-        }
-        if (s->kind == StmtKind::kIf && (scan(s->then_body) || scan(s->else_body))) {
-          return true;
-        }
-      }
-      return false;
-    };
-    return scan(t.body);
-  }
-
  private:
   const spec::SpecSet& spec_;
+  const SpecIndex& index_;
   Trace trace_;
   std::map<std::size_t, Planned> planned_;
   int cidr_counter_ = 0;
@@ -698,18 +673,75 @@ class Builder {
 
 // -------------------------------------------------------------- generator --
 
-TraceGenerator::TraceGenerator(const spec::SpecSet& spec) : spec_(spec) {}
+SpecIndex::SpecIndex(const spec::SpecSet& spec) {
+  for (const auto& m : spec.machines) by_name_.emplace(m.name, MachineFacts{&m, {}});
+  // One pass over every (owner, transition): collect its call() callees,
+  // if-branches included, then file it under each (target, attr) some
+  // callee of that name on the target writes.
+  std::vector<std::string_view> callees;
+  const std::function<void(const spec::Body&)> collect = [&](const spec::Body& body) {
+    for (const auto& s : body) {
+      if (s->kind == StmtKind::kCall) callees.push_back(s->callee);
+      if (s->kind == StmtKind::kIf) {
+        collect(s->then_body);
+        collect(s->else_body);
+      }
+    }
+  };
+  for (const auto& owner : spec.machines) {
+    for (const auto& t : owner.transitions) {
+      if (is_internal_transition(t.name)) continue;
+      callees.clear();
+      collect(t.body);
+      if (callees.empty()) continue;
+      for (auto& [name, facts] : by_name_) {
+        if (name == owner.name) continue;
+        std::set<std::string_view> attrs;
+        for (std::string_view c : callees) {
+          const Transition* callee = facts.machine->find_transition(c);
+          if (callee == nullptr) continue;
+          for (const auto& cs : callee->body) {
+            if (cs->kind == StmtKind::kWrite) attrs.insert(cs->var);
+          }
+        }
+        for (std::string_view attr : attrs) facts.backrefs[attr].push_back({&owner, &t});
+      }
+    }
+  }
+}
+
+const spec::StateMachine* SpecIndex::machine(std::string_view name) const {
+  auto it = by_name_.find(name);
+  return it == by_name_.end() ? nullptr : it->second.machine;
+}
+
+const std::vector<SpecIndex::Backref>& SpecIndex::backrefs(std::string_view target,
+                                                           std::string_view attr) const {
+  static const std::vector<Backref> kNone;
+  auto it = by_name_.find(target);
+  if (it == by_name_.end()) return kNone;
+  auto bt = it->second.backrefs.find(attr);
+  return bt == it->second.backrefs.end() ? kNone : bt->second;
+}
+
+TraceGenerator::TraceGenerator(const spec::SpecSet& spec) : spec_(spec), index_(spec) {}
 
 std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
                                                    const std::string& transition) {
+  return generate_into(machine, transition, stats_);
+}
+
+std::vector<GenTrace> TraceGenerator::generate_into(const std::string& machine,
+                                                    const std::string& transition,
+                                                    GenStats& stats) const {
   std::vector<GenTrace> out;
-  const StateMachine* m = spec_.find_machine(machine);
+  const StateMachine* m = index_.machine(machine);
   const Transition* t = m != nullptr ? m->find_transition(transition) : nullptr;
   if (m == nullptr || t == nullptr || is_internal_transition(transition)) return out;
 
   auto skip = [&](const std::string& why) {
-    ++stats_.classes_total;
-    stats_.skipped.push_back(strf(machine, "::", transition, ": ", why));
+    ++stats.classes_total;
+    stats.skipped.push_back(strf(machine, "::", transition, ": ", why));
   };
 
   const Transition* describe = nullptr;
@@ -731,8 +763,8 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
 
   // ------------------------------------------------------- happy path --
   {
-    ++stats_.classes_total;
-    Builder b(spec_);
+    ++stats.classes_total;
+    Builder b(spec_, index_);
     std::optional<std::size_t> self_idx;
     bool ok = build_base(b, self_idx);
     std::optional<std::size_t> probe;
@@ -771,7 +803,7 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
       g.trace = std::move(b.trace());
       g.trace.label = strf(machine, "::", transition, "/happy");
       out.push_back(std::move(g));
-      ++stats_.classes_concretized;
+      ++stats.classes_concretized;
     } else {
       skip(b.fail_reason.empty() ? "happy path unsolvable" : b.fail_reason);
     }
@@ -780,9 +812,9 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
   // ----------------------------------------- singular assert violations --
   auto asserts = collect_asserts(t->body);
   for (std::size_t ai = 0; ai < asserts.size(); ++ai) {
-    ++stats_.classes_total;
+    ++stats.classes_total;
     AssertInfo info = analyze_assert(*asserts[ai]);
-    Builder b(spec_);
+    Builder b(spec_, index_);
     std::optional<std::size_t> self_idx;
     if (!build_base(b, self_idx)) {
       skip("setup unsolvable: " + b.fail_reason);
@@ -875,7 +907,7 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
         const StateMachine* target_m = nullptr;
         for (const auto& pp : t->params) {
           if (pp.name == info.param && pp.type.kind == spec::TypeKind::kRef) {
-            target_m = spec_.find_machine(pp.type.ref_type);
+            target_m = index_.machine(pp.type.ref_type);
           }
         }
         if (target_m == nullptr) {
@@ -964,7 +996,7 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
     g.trace = std::move(b.trace());
     g.trace.label = strf(machine, "::", transition, "/violate-", ai);
     out.push_back(std::move(g));
-    ++stats_.classes_concretized;
+    ++stats.classes_concretized;
   }
 
   // --------------------------------------------------------- state sweep --
@@ -989,8 +1021,8 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
             std::string(sv.initial.as_bool() ? "true" : "false") == member) {
           continue;
         }
-        ++stats_.classes_total;
-        Builder b(spec_);
+        ++stats.classes_total;
+        Builder b(spec_, index_);
         std::optional<std::size_t> self_idx;
         if (!build_base(b, self_idx) || !self_idx) {
           skip("sweep setup unsolvable");
@@ -1022,7 +1054,7 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
         g.trace = std::move(b.trace());
         g.trace.label = strf(machine, "::", transition, "/sweep-", sv.name, "-", member);
         out.push_back(std::move(g));
-        ++stats_.classes_concretized;
+        ++stats.classes_concretized;
       }
     }
   }
@@ -1034,8 +1066,8 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
       t->kind == TransitionKind::kDestroy) {
     for (const auto& sv : m->states) {
       if (sv.type.kind != spec::TypeKind::kRef) continue;
-      ++stats_.classes_total;
-      Builder b(spec_);
+      ++stats.classes_total;
+      Builder b(spec_, index_);
       std::optional<std::size_t> self_idx;
       if (!build_base(b, self_idx) || !self_idx) {
         skip("ref sweep setup unsolvable");
@@ -1062,7 +1094,7 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
       g.trace = std::move(b.trace());
       g.trace.label = strf(machine, "::", transition, "/refsweep-", sv.name);
       out.push_back(std::move(g));
-      ++stats_.classes_concretized;
+      ++stats.classes_concretized;
     }
   }
 
@@ -1074,8 +1106,8 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
       if (p.type.kind != spec::TypeKind::kBool) continue;
       for (const auto& sv : m->states) {
         if (sv.type.kind != spec::TypeKind::kBool) continue;
-        ++stats_.classes_total;
-        Builder b(spec_);
+        ++stats.classes_total;
+        Builder b(spec_, index_);
         std::optional<std::size_t> self_idx;
         if (!build_base(b, self_idx) || !self_idx) {
           skip("bool coupling setup unsolvable");
@@ -1105,7 +1137,7 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
         g.trace.label =
             strf(machine, "::", transition, "/coupling-", p.name, "-", sv.name);
         out.push_back(std::move(g));
-        ++stats_.classes_concretized;
+        ++stats.classes_concretized;
       }
     }
   }
@@ -1117,8 +1149,8 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
   for (const spec::Stmt* a : asserts) {
     AssertInfo info = analyze_assert(*a);
     if (info.shape != Shape::kPrefixRange && info.shape != Shape::kIntRange) continue;
-    ++stats_.classes_total;
-    Builder b(spec_);
+    ++stats.classes_total;
+    Builder b(spec_, index_);
     std::optional<std::size_t> self_idx;
     if (!build_base(b, self_idx)) {
       skip("boundary setup unsolvable");
@@ -1159,7 +1191,7 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
     g.trace = std::move(b.trace());
     g.trace.label = strf(machine, "::", transition, "/boundary-", info.param);
     out.push_back(std::move(g));
-    ++stats_.classes_concretized;
+    ++stats.classes_concretized;
   }
 
   // -------------------------------------------------------- member probes --
@@ -1170,8 +1202,8 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
     AssertInfo info = analyze_assert(*a);
     if (info.shape != Shape::kInList || info.values.size() < 2) continue;
     for (std::size_t mi = 1; mi < info.values.size(); ++mi) {  // [0] = happy path
-      ++stats_.classes_total;
-      Builder b(spec_);
+      ++stats.classes_total;
+      Builder b(spec_, index_);
       std::optional<std::size_t> self_idx;
       if (!build_base(b, self_idx)) {
         skip("member probe setup unsolvable");
@@ -1196,7 +1228,7 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
       g.trace.label =
           strf(machine, "::", transition, "/member-", info.param, "-", mi);
       out.push_back(std::move(g));
-      ++stats_.classes_concretized;
+      ++stats.classes_concretized;
     }
   }
 
@@ -1229,8 +1261,8 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
       // Fire: arm by reaching the trigger value, advance exactly `delay`
       // ticks, observe the fired transition's writes via describe.
       {
-        ++stats_.classes_total;
-        Builder b(spec_);
+        ++stats.classes_total;
+        Builder b(spec_, index_);
         auto self_idx = arm_self(b);
         if (!self_idx) {
           skip("timer-fire setup unsolvable: " + b.fail_reason);
@@ -1253,7 +1285,7 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
           g.trace = std::move(b.trace());
           g.trace.label = strf(machine, "::", transition, "/timer-fire-", ti);
           out.push_back(std::move(g));
-          ++stats_.classes_concretized;
+          ++stats.classes_concretized;
         }
       }
       // Interleave: advance to one tick short of the deadline, move the
@@ -1262,8 +1294,8 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
       // happen. Diverges against an implementation that fires anyway, or
       // that orders the cancel after the fire.
       {
-        ++stats_.classes_total;
-        Builder b(spec_);
+        ++stats.classes_total;
+        Builder b(spec_, index_);
         auto self_idx = arm_self(b);
         // Burn all but the last tick first, so the cancelling driver call
         // drive_attr appends lands mid-countdown (one tick before the
@@ -1297,7 +1329,7 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
           g.trace.label =
               strf(machine, "::", transition, "/timer-interleave-", ti);
           out.push_back(std::move(g));
-          ++stats_.classes_concretized;
+          ++stats.classes_concretized;
         }
       }
     }
@@ -1305,14 +1337,65 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
   return out;
 }
 
-std::vector<GenTrace> TraceGenerator::generate_all() {
-  std::vector<GenTrace> out;
+std::vector<GenTrace> TraceGenerator::generate_all(int workers) {
+  std::vector<std::pair<const std::string*, const std::string*>> sites;  // spec order
   for (const auto& m : spec_.machines) {
-    for (const auto& t : m.transitions) {
-      auto batch = generate_for(m.name, t.name);
+    for (const auto& t : m.transitions) sites.emplace_back(&m.name, &t.name);
+  }
+  int w = workers > 0 ? workers : ThreadPool::hardware_workers();
+  w = std::min<int>(w, static_cast<int>(sites.size()));
+
+  std::vector<GenTrace> out;
+  if (w <= 1) {
+    for (const auto& [machine, transition] : sites) {
+      auto batch = generate_into(*machine, *transition, stats_);
       out.insert(out.end(), std::make_move_iterator(batch.begin()),
                  std::make_move_iterator(batch.end()));
     }
+    return out;
+  }
+
+  // Each batch is one transition's traces and stats. Transitions differ
+  // widely in cost, so workers claim batches one at a time; each writes
+  // only its own slot.
+  struct Batch {
+    std::vector<GenTrace> traces;
+    GenStats stats;
+    std::exception_ptr error;  // the pool's jobs must not throw
+  };
+  std::vector<Batch> batches(sites.size());
+  std::atomic<std::size_t> next{0};
+  ThreadPool pool(w);
+  for (int k = 0; k < w; ++k) {
+    pool.submit([&] {
+      for (std::size_t i = next++; i < batches.size(); i = next++) {
+        try {
+          batches[i].traces =
+              generate_into(*sites[i].first, *sites[i].second, batches[i].stats);
+        } catch (...) {
+          batches[i].error = std::current_exception();
+        }
+      }
+    });
+  }
+  pool.wait();
+
+  // Join in spec order: the corpus, the counters and the skip list read
+  // exactly as a serial run's, and the first failure in spec order is the
+  // one a serial run would have thrown.
+  std::size_t total = 0;
+  for (const Batch& b : batches) total += b.traces.size();
+  out.reserve(total);
+  for (Batch& b : batches) {
+    if (b.error) std::rethrow_exception(b.error);
+    out.insert(out.end(), std::make_move_iterator(b.traces.begin()),
+               std::make_move_iterator(b.traces.end()));
+    std::vector<GenTrace>().swap(b.traces);
+    stats_.classes_total += b.stats.classes_total;
+    stats_.classes_concretized += b.stats.classes_concretized;
+    stats_.skipped.insert(stats_.skipped.end(),
+                          std::make_move_iterator(b.stats.skipped.begin()),
+                          std::make_move_iterator(b.stats.skipped.end()));
   }
   return out;
 }

@@ -19,11 +19,19 @@
 //
 // Classes whose constraints the solver cannot concretize are skipped and
 // reported (the paper's §6 completeness caveat).
+//
+// Spec facts the builders consult on every trace (machine by name, which
+// other transitions back-reference an attribute) are derived once per
+// TraceGenerator into a SpecIndex: the spec is fixed for the generator's
+// lifetime.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/api.h"
@@ -74,6 +82,38 @@ struct GenStats {
   std::vector<std::string> skipped;  // unconcretizable classes, with reason
 };
 
+/// Spec lookups the trace builders repeat for every trace, answered from
+/// tables built once. Holds pointers into the spec, which must outlive it
+/// unchanged.
+class SpecIndex {
+ public:
+  /// A transition of `owner` that drives another machine's attribute
+  /// through a call() (e.g. AssociateAddress writing nic.public_ip).
+  struct Backref {
+    const spec::StateMachine* owner = nullptr;
+    const spec::Transition* transition = nullptr;
+  };
+
+  explicit SpecIndex(const spec::SpecSet& spec);
+
+  /// SpecSet::find_machine: the first machine named `name`, or nullptr.
+  const spec::StateMachine* machine(std::string_view name) const;
+
+  /// Every non-internal transition of a machine not named `target` whose
+  /// body (if-branches included) calls a transition of `target` that
+  /// writes `attr` at its top level. Spec order: owners as declared, then
+  /// their transitions as declared.
+  const std::vector<Backref>& backrefs(std::string_view target,
+                                       std::string_view attr) const;
+
+ private:
+  struct MachineFacts {
+    const spec::StateMachine* machine = nullptr;
+    std::map<std::string_view, std::vector<Backref>> backrefs;  // by attr
+  };
+  std::unordered_map<std::string_view, MachineFacts> by_name_;
+};
+
 class TraceGenerator {
  public:
   explicit TraceGenerator(const spec::SpecSet& spec);
@@ -82,13 +122,23 @@ class TraceGenerator {
   std::vector<GenTrace> generate_for(const std::string& machine,
                                      const std::string& transition);
 
-  /// Traces for every transition in the spec.
-  std::vector<GenTrace> generate_all();
+  /// Traces for every transition in the spec, machines and transitions in
+  /// declaration order. `workers` (0 = hardware concurrency, 1 = serial)
+  /// generates the per-transition batches concurrently; batches and their
+  /// GenStats are joined in spec order, so the corpus and stats() are
+  /// identical to a serial run for every worker count.
+  std::vector<GenTrace> generate_all(int workers = 1);
 
   const GenStats& stats() const { return stats_; }
+  const SpecIndex& index() const { return index_; }
 
  private:
+  std::vector<GenTrace> generate_into(const std::string& machine,
+                                      const std::string& transition,
+                                      GenStats& stats) const;
+
   const spec::SpecSet& spec_;
+  SpecIndex index_;
   GenStats stats_;
 };
 

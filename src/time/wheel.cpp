@@ -154,8 +154,13 @@ std::optional<TimerWheel::Entry> TimerWheel::pop_due(std::uint64_t target) {
 }
 
 void TimerWheel::reset(std::uint64_t now) {
-  for (auto& level : slots_) {
-    for (auto& slot : level) slot.clear();
+  // Only occupied slots need clearing: every path that fills a slot sets
+  // its bit and every path that empties one clears it (TimerService
+  // cancels lazily, leaving entries in place), so the bitmaps name them.
+  for (std::size_t level = 0; level < slots_.size(); ++level) {
+    for (std::uint64_t bm = bitmap_[level]; bm != 0; bm &= bm - 1) {
+      slots_[level][static_cast<std::size_t>(std::countr_zero(bm))].clear();
+    }
   }
   bitmap_.fill(0);
   overflow_.clear();

@@ -202,14 +202,28 @@ TEST(ParallelAlignment, RoundStatsRecordThroughputCounters) {
   EXPECT_EQ(r.rounds[0].workers, 2);
   EXPECT_GT(r.rounds[0].diff_wall_ms, 0.0);
   EXPECT_GT(r.rounds[0].traces_per_sec, 0.0);
+  EXPECT_GT(r.rounds[0].tracegen_ms, 0.0);
   // Timings must never leak into the determinism contract: perturbing the
   // performance counters must not change the canonical serialization.
   AlignmentReport perturbed = r;
+  perturbed.rounds[0].tracegen_ms = 111.0;
+  perturbed.rounds[0].shrink_ms = 222.0;
+  perturbed.rounds[0].repair_ms = 333.0;
   perturbed.rounds[0].diff_wall_ms = 12345.0;
   perturbed.rounds[0].traces_per_sec = 1.0;
   perturbed.rounds[0].workers = 99;
   perturbed.rounds[0].metrics = Value(Value::Map{{"cloud", Value("perturbed")}});
   EXPECT_EQ(canonical_text(perturbed), canonical_text(r));
+
+  // A repairing round runs every stage, so every stage clock reads > 0.
+  AlignmentReport repaired = align_with_workers(corpus, 2);
+  ASSERT_FALSE(repaired.rounds.empty());
+  const RoundStats& first = repaired.rounds[0];
+  ASSERT_GT(first.repairs, 0u);
+  EXPECT_GT(first.tracegen_ms, 0.0);
+  EXPECT_GT(first.diff_wall_ms, 0.0);
+  EXPECT_GT(first.shrink_ms, 0.0);
+  EXPECT_GT(first.repair_ms, 0.0);
 }
 
 // --- lce::stack interop ----------------------------------------------------

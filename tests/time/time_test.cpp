@@ -153,47 +153,88 @@ TEST(TimerWheel, ResetDropsEverything) {
   EXPECT_EQ(w.now(), 77u);
 }
 
-// Differential fuzz: the wheel against a trivially correct sorted-set
-// reference, through interleaved schedules and partial advances.
+/// Differential fuzz body: seeded schedule bursts (short, medium, long and
+/// overflow-range deltas) interleaved with partial advances, every pop
+/// checked against a trivially correct sorted-set reference. Runs from the
+/// wheel's current clock and returns the pops in order.
+std::vector<TimerWheel::Entry> fuzz_against_reference(TimerWheel& w, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::set<std::pair<std::uint64_t, std::uint64_t>> ref;  // (deadline, seq)
+  std::vector<TimerWheel::Entry> popped;
+  std::uint64_t seq = 1;
+  for (int round = 0; round < 200; ++round) {
+    int burst = static_cast<int>(rng() % 8);
+    for (int i = 0; i < burst; ++i) {
+      std::uint64_t delta;
+      switch (rng() % 4) {
+        case 0: delta = rng() % 64; break;
+        case 1: delta = rng() % 4096; break;
+        case 2: delta = rng() % (1ull << 18); break;
+        default: delta = rng() % (1ull << 26); break;
+      }
+      std::uint64_t deadline = w.now() + delta;
+      w.schedule(deadline, seq);
+      ref.emplace(std::max(deadline, w.now()), seq);
+      ++seq;
+    }
+    std::uint64_t target = w.now() + rng() % (1ull << 20);
+    while (true) {
+      auto e = w.pop_due(target);
+      if (!e) break;
+      popped.push_back(*e);
+      EXPECT_FALSE(ref.empty()) << "seed " << seed;
+      if (ref.empty()) return popped;
+      auto expect = *ref.begin();
+      ref.erase(ref.begin());
+      EXPECT_EQ(e->deadline, expect.first) << "seed " << seed;
+      EXPECT_EQ(e->seq, expect.second) << "seed " << seed;
+      EXPECT_EQ(w.now(), e->deadline) << "seed " << seed;
+    }
+    EXPECT_EQ(w.now(), target);
+    // Everything left in the reference must be strictly in the future.
+    if (!ref.empty()) {
+      EXPECT_GT(ref.begin()->first, target) << "seed " << seed;
+    }
+    EXPECT_EQ(w.size(), ref.size()) << "seed " << seed;
+  }
+  return popped;
+}
+
 TEST(WheelFuzz, MatchesSortedSetReferenceAcrossSeeds) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    std::mt19937_64 rng(seed);
     TimerWheel w;
-    std::set<std::pair<std::uint64_t, std::uint64_t>> ref;  // (deadline, seq)
+    fuzz_against_reference(w, seed);
+  }
+}
+
+// reset() clears only the slots the occupancy bitmaps name: a wheel reset
+// after seeded schedules and partial advances (entries left on every
+// level and in the overflow) must run the differential fuzz exactly like
+// an empty wheel whose clock was set to the same tick.
+TEST(WheelFuzz, ResetWheelBehavesLikeAFreshOne) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    std::mt19937_64 rng(seed * 7919);
+    TimerWheel dirty;
     std::uint64_t seq = 1;
-    for (int round = 0; round < 200; ++round) {
-      int burst = static_cast<int>(rng() % 8);
-      for (int i = 0; i < burst; ++i) {
-        // Mix short, medium, long, and overflow-range deltas.
-        std::uint64_t delta;
-        switch (rng() % 4) {
-          case 0: delta = rng() % 64; break;
-          case 1: delta = rng() % 4096; break;
-          case 2: delta = rng() % (1ull << 18); break;
-          default: delta = rng() % (1ull << 26); break;
-        }
-        std::uint64_t deadline = w.now() + delta;
-        w.schedule(deadline, seq);
-        ref.emplace(std::max(deadline, w.now()), seq);
-        ++seq;
-      }
-      std::uint64_t target = w.now() + rng() % (1ull << 20);
-      while (true) {
-        auto e = w.pop_due(target);
-        if (!e) break;
-        ASSERT_FALSE(ref.empty()) << "seed " << seed;
-        auto expect = *ref.begin();
-        ref.erase(ref.begin());
-        EXPECT_EQ(e->deadline, expect.first) << "seed " << seed;
-        EXPECT_EQ(e->seq, expect.second) << "seed " << seed;
-        EXPECT_EQ(w.now(), e->deadline) << "seed " << seed;
-      }
-      EXPECT_EQ(w.now(), target);
-      // Everything left in the reference must be strictly in the future.
-      if (!ref.empty()) {
-        EXPECT_GT(ref.begin()->first, target) << "seed " << seed;
-      }
-      EXPECT_EQ(w.size(), ref.size()) << "seed " << seed;
+    for (int i = 0; i < 400; ++i) {
+      std::uint64_t delta = rng() % (1ull << (6 * (1 + rng() % 5)));  // up to 2^30
+      dirty.schedule(dirty.now() + delta, seq++);
+      if (i % 50 == 49) drain(dirty, dirty.now() + rng() % (1ull << 16));
+    }
+    ASSERT_FALSE(dirty.empty()) << "seed " << seed;
+    std::uint64_t now = dirty.now() + rng() % 1000;
+    dirty.reset(now);
+    EXPECT_TRUE(dirty.empty());
+    EXPECT_EQ(dirty.now(), now);
+
+    TimerWheel fresh;
+    fresh.reset(now);  // nothing to clear: only moves the clock
+    auto want = fuzz_against_reference(fresh, seed);
+    auto got = fuzz_against_reference(dirty, seed);
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].deadline, want[i].deadline) << "seed " << seed << " pop " << i;
+      EXPECT_EQ(got[i].seq, want[i].seq) << "seed " << seed << " pop " << i;
     }
   }
 }
@@ -312,6 +353,51 @@ TEST(TimerServiceTest, ClearResetsClockAndSeq) {
   EXPECT_EQ(s.now(), 0u);
   EXPECT_EQ(s.next_seq(), 1u);
   EXPECT_EQ(s.armed_count(), 0u);
+}
+
+// Cancels leave their entries in the wheel (pop_due skips them), so a
+// cleared service's wheel held live and cancelled entries alike; after
+// clear() it must replay a seeded arm/cancel/advance session exactly like
+// a fresh service, whose seqs restart at the same numbers.
+TEST(TimerServiceTest, ClearedServiceReplaysLikeAFreshOne) {
+  auto session = [](TimerService& s, std::uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    std::vector<std::string> fired;
+    for (int i = 0; i < 300; ++i) {
+      std::string id = "i-" + std::to_string(rng() % 24);
+      std::string clause = "status#" + std::to_string(rng() % 3);
+      switch (rng() % 4) {
+        case 0:
+        case 1:
+          s.ensure(id, clause, "Fire", static_cast<std::int64_t>(rng() % 5000), true);
+          break;
+        case 2:
+          s.ensure(id, clause, "Fire", 1, false);
+          break;
+        default:
+          s.cancel_resource(id);
+          break;
+      }
+      if (i % 10 == 9) {
+        std::uint64_t target = s.now() + rng() % 700;
+        while (auto t = s.pop_due(target)) {
+          fired.push_back(t->resource_id + "/" + t->clause_key + "@" +
+                          std::to_string(t->deadline) + "#" + std::to_string(t->seq));
+        }
+      }
+    }
+    return fired;
+  };
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    TimerService used;
+    session(used, seed + 100);
+    ASSERT_GT(used.armed_count(), 0u) << "seed " << seed;
+    used.clear();
+    TimerService fresh;
+    EXPECT_EQ(session(used, seed), session(fresh, seed)) << "seed " << seed;
+    EXPECT_EQ(used.now(), fresh.now());
+    EXPECT_EQ(used.armed_count(), fresh.armed_count());
+  }
 }
 
 // Threaded hammer: concurrent arm/cancel/advance through the leaf mutex.

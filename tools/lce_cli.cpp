@@ -8,7 +8,8 @@
 //   lce align [provider] [--workers N] [--rounds N] [--metrics]
 //                                    run the §4.3 alignment loop, print
 //                                    the repair report; --workers shards
-//                                    the differential pass over N threads
+//                                    trace generation and the
+//                                    differential pass over N threads
 //                                    (0 = auto, 1 = serial; the report is
 //                                    identical for every worker count);
 //                                    --metrics prints per-API call counts
@@ -97,9 +98,10 @@ int usage() {
                "  lce diff <script-file> [aws|azure]\n"
                "  lce align [aws|azure] [--workers N] [--rounds N] [--metrics]\n"
                "            [--no-plan]\n"
-               "      --workers N  differential-pass threads (0 = auto-detect\n"
-               "                   hardware concurrency, 1 = serial; any value\n"
-               "                   yields the identical alignment report)\n"
+               "      --workers N  threads for trace generation and the\n"
+               "                   differential pass (0 = auto-detect hardware\n"
+               "                   concurrency, 1 = serial; any value yields\n"
+               "                   the identical alignment report)\n"
                "      --rounds N   max alignment rounds (default 6)\n"
                "      --metrics    print per-API call counts per round\n"
                "  lce serve [aws|azure] [port] [options]\n"
@@ -295,8 +297,10 @@ int main(int argc, char** argv) {
     for (const auto& r : report.repairs) std::cout << "  " << r.to_text() << "\n";
     for (std::size_t i = 0; i < report.rounds.size(); ++i) {
       const auto& r = report.rounds[i];
-      std::cout << "round " << i + 1 << " timing: " << r.diff_wall_ms << " ms, "
-                << static_cast<long>(r.traces_per_sec) << " traces/s, "
+      std::cout << "round " << i + 1 << " timing: tracegen " << r.tracegen_ms
+                << " ms, diff " << r.diff_wall_ms << " ms ("
+                << static_cast<long>(r.traces_per_sec) << " traces/s), shrink "
+                << r.shrink_ms << " ms, repair " << r.repair_ms << " ms, "
                 << r.workers << " worker(s)\n";
       if (aopts.collect_metrics && r.metrics.is_map()) {
         for (const char* side : {"cloud", "emulator"}) {
