@@ -1,7 +1,6 @@
 #include "align/trace_gen.h"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 #include <functional>
 #include <map>
@@ -1345,46 +1344,39 @@ std::vector<GenTrace> TraceGenerator::generate_all(int workers) {
   int w = workers > 0 ? workers : ThreadPool::hardware_workers();
   w = std::min<int>(w, static_cast<int>(sites.size()));
 
-  std::vector<GenTrace> out;
-  if (w <= 1) {
-    for (const auto& [machine, transition] : sites) {
-      auto batch = generate_into(*machine, *transition, stats_);
-      out.insert(out.end(), std::make_move_iterator(batch.begin()),
-                 std::make_move_iterator(batch.end()));
-    }
-    return out;
-  }
-
-  // Each batch is one transition's traces and stats. Transitions differ
-  // widely in cost, so workers claim batches one at a time; each writes
-  // only its own slot.
+  // Each batch is one transition's traces and stats, written only by the
+  // job that generates it. With one worker the jobs run on the calling
+  // thread, in order, and start no thread.
   struct Batch {
     std::vector<GenTrace> traces;
     GenStats stats;
     std::exception_ptr error;  // the pool's jobs must not throw
   };
   std::vector<Batch> batches(sites.size());
-  std::atomic<std::size_t> next{0};
-  ThreadPool pool(w);
-  for (int k = 0; k < w; ++k) {
-    pool.submit([&] {
-      for (std::size_t i = next++; i < batches.size(); i = next++) {
-        try {
-          batches[i].traces =
-              generate_into(*sites[i].first, *sites[i].second, batches[i].stats);
-        } catch (...) {
-          batches[i].error = std::current_exception();
-        }
-      }
-    });
+  auto generate = [&](std::size_t i) {
+    try {
+      batches[i].traces =
+          generate_into(*sites[i].first, *sites[i].second, batches[i].stats);
+    } catch (...) {
+      batches[i].error = std::current_exception();
+    }
+  };
+  if (w <= 1) {
+    for (std::size_t i = 0; i < batches.size(); ++i) generate(i);
+  } else {
+    ThreadPool pool(w);
+    for (std::size_t i = 0; i < batches.size(); ++i) {
+      pool.submit([&generate, i] { generate(i); });
+    }
+    pool.wait();
   }
-  pool.wait();
 
   // Join in spec order: the corpus, the counters and the skip list read
   // exactly as a serial run's, and the first failure in spec order is the
   // one a serial run would have thrown.
   std::size_t total = 0;
   for (const Batch& b : batches) total += b.traces.size();
+  std::vector<GenTrace> out;
   out.reserve(total);
   for (Batch& b : batches) {
     if (b.error) std::rethrow_exception(b.error);

@@ -130,7 +130,6 @@ class TraceGenerator {
   std::vector<GenTrace> generate_all(int workers = 1);
 
   const GenStats& stats() const { return stats_; }
-  const SpecIndex& index() const { return index_; }
 
  private:
   std::vector<GenTrace> generate_into(const std::string& machine,
